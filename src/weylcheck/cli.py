@@ -62,14 +62,13 @@ def _load_domain(path: str) -> geometry.DomainSpec:
 
 
 def _analytic_spectrum(spec: geometry.DomainSpec, lam_max: float):
-    k, p = spec.kind, spec.params
-    if k == "rectangle":
-        return oracles.rectangle_spectrum(p["a"], p["b"], lam_max)
-    if k == "interval":
-        return oracles.interval_spectrum(p["a"], lam_max)
-    if k == "disk":
-        return oracles.disk_spectrum(p["r"], lam_max)
-    raise ConfigError(f"no analytic spectrum for domain kind {k!r}")
+    if spec.kind == "rectangle":
+        return oracles.rectangle_spectrum(spec.a, spec.b, lam_max)
+    if spec.kind == "interval":
+        return oracles.interval_spectrum(spec.a, lam_max)
+    if spec.kind == "disk":
+        return oracles.disk_spectrum(spec.r, lam_max)
+    raise ConfigError(f"no analytic spectrum for domain kind {spec.kind!r}")
 
 
 def _out_dir(args) -> Path:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -61,20 +62,6 @@ class GridMask:
     def volume(self) -> float:
         return self.n_nodes * self.h**2
 
-    def volume_uncertainty(self) -> float:
-        """One-cell band around the raster boundary, as a volume."""
-        return self.boundary_node_count() * self.h**2
-
-    def boundary_node_count(self) -> int:
-        """Interior nodes with at least one non-interior 4-neighbor."""
-        padded = np.zeros((self.dims[0] + 2, self.dims[1] + 2), dtype=bool)
-        padded[1:-1, 1:-1] = self.interior
-        core = padded[1:-1, 1:-1]
-        all_nb = (
-            padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-        )
-        return int((core & ~all_nb).sum())
-
     def is_submask_of(self, other: "GridMask") -> bool:
         return (
             self.h == other.h
@@ -88,163 +75,273 @@ class GridMask:
         return GridMask(self.h, self.origin, self.dims, self.interior & keep)
 
 
-@dataclass(frozen=True)
 class DomainSpec:
     """Analytic or raster description of an open set of finite volume.
 
-    kinds: interval(a) on (0, a); rectangle(a, b) on (0, a) x (0, b);
-    disk(r) centered at the origin; cusp(p, x_max) the region
-    0 < y < x^(-p), 1 < x < x_max; union of disjoint translated parts;
-    raster backed by a GridMask.
+    Each kind below is a frozen dataclass built by these constructors, with
+    its own ``kind``, ``dimension``, ``volume``, ``volume_deficit()``,
+    ``bounding_box()`` and strict membership ``contains(x, y)`` on broadcast
+    arrays. 2-D kinds also decide exactly whether the open box
+    (x0, x1) x (y0, y1) lies inside: ``contains_box(x0, y0, x1, y1)``.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        k = self.kind
-        p = self.params
-        if k == "interval":
-            if p["a"] <= 0:
-                raise GeometryError("interval length must be positive")
-        elif k == "rectangle":
-            if p["a"] <= 0 or p["b"] <= 0:
-                raise GeometryError("rectangle sides must be positive")
-        elif k == "disk":
-            if p["r"] <= 0:
-                raise GeometryError("disk radius must be positive")
-        elif k == "cusp":
-            if p["p"] <= 1:
-                raise GeometryError("cusp exponent must exceed 1 for finite area")
-            if p["x_max"] <= 1:
-                raise GeometryError("cusp truncation must exceed 1")
-        elif k == "union":
-            parts = p["parts"]
-            offsets = p["offsets"]
-            if len(parts) != len(offsets):
-                raise GeometryError("union needs one offset per part")
-            if any(part.dimension != parts[0].dimension for part in parts):
-                raise GeometryError("union parts must share dimension")
-            _check_disjoint(parts, offsets)
-        elif k == "raster":
-            if p["mask"].n_nodes == 0:
-                raise GeometryError("raster domain is empty")
-        else:
-            raise GeometryError(f"unknown domain kind {k!r}")
-
-    # -- constructors ------------------------------------------------------
+    dimension = 2
 
     @staticmethod
-    def interval(a: float) -> "DomainSpec":
-        return DomainSpec("interval", {"a": float(a)})
+    def interval(a: float) -> "Interval":
+        return Interval(float(a))
 
     @staticmethod
-    def rectangle(a: float, b: float) -> "DomainSpec":
-        return DomainSpec("rectangle", {"a": float(a), "b": float(b)})
+    def rectangle(a: float, b: float) -> "Rectangle":
+        return Rectangle(float(a), float(b))
 
     @staticmethod
-    def disk(r: float) -> "DomainSpec":
-        return DomainSpec("disk", {"r": float(r)})
+    def disk(r: float) -> "Disk":
+        return Disk(float(r))
 
     @staticmethod
-    def cusp(p: float, x_max: float) -> "DomainSpec":
-        return DomainSpec("cusp", {"p": float(p), "x_max": float(x_max)})
+    def cusp(p: float, x_max: float) -> "Cusp":
+        return Cusp(float(p), float(x_max))
 
     @staticmethod
-    def union(parts, offsets) -> "DomainSpec":
-        return DomainSpec(
-            "union",
-            {"parts": list(parts), "offsets": [tuple(map(float, o)) for o in offsets]},
-        )
+    def union(parts, offsets) -> "Union":
+        return Union(tuple(parts), tuple(tuple(map(float, o)) for o in offsets))
 
     @staticmethod
-    def raster(mask: GridMask) -> "DomainSpec":
-        return DomainSpec("raster", {"mask": mask})
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def dimension(self) -> int:
-        if self.kind == "interval":
-            return 1
-        if self.kind == "union":
-            return self.params["parts"][0].dimension
-        return 2
-
-    @property
-    def volume(self) -> float:
-        k, p = self.kind, self.params
-        if k == "interval":
-            return p["a"]
-        if k == "rectangle":
-            return p["a"] * p["b"]
-        if k == "disk":
-            return math.pi * p["r"] ** 2
-        if k == "cusp":
-            # truncated area; the untruncated value is 1/(p-1)
-            return (1.0 - p["x_max"] ** (1.0 - p["p"])) / (p["p"] - 1.0)
-        if k == "union":
-            return sum(part.volume for part in p["parts"])
-        return p["mask"].volume()
+    def raster(mask: GridMask) -> "Raster":
+        return Raster(mask)
 
     def volume_deficit(self) -> float:
         """Volume excluded by truncation (cusp tail beyond x_max)."""
-        k, p = self.kind, self.params
-        if k == "cusp":
-            return p["x_max"] ** (1.0 - p["p"]) / (p["p"] - 1.0)
-        if k == "union":
-            return sum(part.volume_deficit() for part in p["parts"])
         return 0.0
 
+
+@dataclass(frozen=True)
+class Interval(DomainSpec):
+    """(0, a)."""
+
+    a: float
+    kind = "interval"
+    dimension = 1
+
+    def __post_init__(self):
+        if self.a <= 0:
+            raise GeometryError("interval length must be positive")
+
+    @property
+    def volume(self) -> float:
+        return self.a
+
     def bounding_box(self):
-        """((xmin, ymin), (xmax, ymax)); 1-D domains report ((xmin,), (xmax,))."""
-        k, p = self.kind, self.params
-        if k == "interval":
-            return (0.0,), (p["a"],)
-        if k == "rectangle":
-            return (0.0, 0.0), (p["a"], p["b"])
-        if k == "disk":
-            r = p["r"]
-            return (-r, -r), (r, r)
-        if k == "cusp":
-            return (1.0, 0.0), (p["x_max"], 1.0)
-        if k == "union":
-            boxes = [
-                _shift_box(part.bounding_box(), off)
-                for part, off in zip(p["parts"], p["offsets"])
-            ]
-            lo = tuple(min(b[0][d] for b in boxes) for d in range(len(boxes[0][0])))
-            hi = tuple(max(b[1][d] for b in boxes) for d in range(len(boxes[0][0])))
-            return lo, hi
-        m = p["mask"]
-        return (
-            (m.origin[0], m.origin[1]),
-            (
-                m.origin[0] + m.h * (m.dims[0] - 1),
-                m.origin[1] + m.h * (m.dims[1] - 1),
-            ),
-        )
+        return (0.0,), (self.a,)
+
+    def contains(self, x):
+        return (0.0 < x) & (x < self.a)
 
 
-def _shift_box(box, off):
-    lo, hi = box
-    return tuple(l + o for l, o in zip(lo, off)), tuple(h + o for h, o in zip(hi, off))
+@dataclass(frozen=True)
+class Rectangle(DomainSpec):
+    """(0, a) x (0, b)."""
+
+    a: float
+    b: float
+    kind = "rectangle"
+
+    def __post_init__(self):
+        if self.a <= 0 or self.b <= 0:
+            raise GeometryError("rectangle sides must be positive")
+
+    @property
+    def volume(self) -> float:
+        return self.a * self.b
+
+    def bounding_box(self):
+        return (0.0, 0.0), (self.a, self.b)
+
+    def contains(self, x, y):
+        return (0.0 < x) & (x < self.a) & (0.0 < y) & (y < self.b)
+
+    def contains_box(self, x0, y0, x1, y1):
+        return (0.0 <= x0) & (x1 <= self.a) & (0.0 <= y0) & (y1 <= self.b)
 
 
-def _boxes_overlap(b1, b2) -> bool:
-    lo1, hi1 = b1
-    lo2, hi2 = b2
-    return all(lo1[d] < hi2[d] and lo2[d] < hi1[d] for d in range(len(lo1)))
+@dataclass(frozen=True)
+class Disk(DomainSpec):
+    """Disk of radius r centered at the origin."""
+
+    r: float
+    kind = "disk"
+
+    def __post_init__(self):
+        if self.r <= 0:
+            raise GeometryError("disk radius must be positive")
+
+    @property
+    def volume(self) -> float:
+        return math.pi * self.r**2
+
+    def bounding_box(self):
+        return (-self.r, -self.r), (self.r, self.r)
+
+    def contains(self, x, y):
+        return x * x + y * y < self.r**2
+
+    def contains_box(self, x0, y0, x1, y1):
+        # convex and centered: the corner farthest from the origin decides
+        far_x = np.maximum(np.abs(x0), np.abs(x1))
+        far_y = np.maximum(np.abs(y0), np.abs(y1))
+        return far_x * far_x + far_y * far_y <= self.r**2
 
 
-def _check_disjoint(parts, offsets):
-    boxes = [_shift_box(p.bounding_box(), o) for p, o in zip(parts, offsets)]
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if _boxes_overlap(boxes[i], boxes[j]):
+@dataclass(frozen=True)
+class Cusp(DomainSpec):
+    """0 < y < x^(-p), 1 < x < x_max; finite area for p > 1.
+
+    Abscissas below 1 are clamped before the power, which keeps it finite
+    and real; such points are outside anyway.
+    """
+
+    p: float
+    x_max: float
+    kind = "cusp"
+
+    def __post_init__(self):
+        if self.p <= 1:
+            raise GeometryError("cusp exponent must exceed 1 for finite area")
+        if self.x_max <= 1:
+            raise GeometryError("cusp truncation must exceed 1")
+
+    @property
+    def volume(self) -> float:
+        # truncated area; the untruncated value is 1/(p-1)
+        return (1.0 - self.x_max ** (1.0 - self.p)) / (self.p - 1.0)
+
+    def volume_deficit(self) -> float:
+        return self.x_max ** (1.0 - self.p) / (self.p - 1.0)
+
+    def bounding_box(self):
+        return (1.0, 0.0), (self.x_max, 1.0)
+
+    def contains(self, x, y):
+        return ((1.0 < x) & (x < self.x_max) & (0.0 < y)
+                & (y < np.maximum(x, 1.0) ** -self.p))
+
+    def contains_box(self, x0, y0, x1, y1):
+        # the region lies under a decreasing graph: the top-right corner decides
+        return ((1.0 <= x0) & (x1 <= self.x_max) & (0.0 <= y0)
+                & (y1 <= np.maximum(x1, 1.0) ** -self.p))
+
+
+@dataclass(frozen=True)
+class Union(DomainSpec):
+    """Parts with pairwise disjoint bounding boxes, part k translated by
+    offsets[k]."""
+
+    parts: tuple
+    offsets: tuple
+    kind = "union"
+
+    def __post_init__(self):
+        if not self.parts:
+            raise GeometryError("union needs at least one part")
+        if len(self.parts) != len(self.offsets):
+            raise GeometryError("union needs one offset per part")
+        if any(part.dimension != self.dimension for part in self.parts):
+            raise GeometryError("union parts must share dimension")
+        for (i, (lo1, hi1)), (j, (lo2, hi2)) in combinations(
+            enumerate(self._part_boxes()), 2
+        ):
+            if all(a < d and c < b for a, b, c, d in zip(lo1, hi1, lo2, hi2)):
                 raise GeometryError(
                     f"union parts {i} and {j} have overlapping bounding boxes"
                 )
+
+    @property
+    def dimension(self) -> int:
+        return self.parts[0].dimension
+
+    @property
+    def volume(self) -> float:
+        return sum(part.volume for part in self.parts)
+
+    def volume_deficit(self) -> float:
+        return sum(part.volume_deficit() for part in self.parts)
+
+    def _part_boxes(self):
+        return [
+            tuple(tuple(c + o for c, o in zip(corner, off))
+                  for corner in part.bounding_box())
+            for part, off in zip(self.parts, self.offsets)
+        ]
+
+    def bounding_box(self):
+        los, his = zip(*self._part_boxes())
+        return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+    def contains(self, *point):
+        return np.any([part.contains(*(c - o for c, o in zip(point, off)))
+                       for part, off in zip(self.parts, self.offsets)], axis=0)
+
+    def contains_box(self, x0, y0, x1, y1):
+        # an open box is connected, so it lies in the union of disjoint open
+        # parts only if it lies in one of them
+        return np.any([part.contains_box(x0 - ox, y0 - oy, x1 - ox, y1 - oy)
+                       for part, (ox, oy) in zip(self.parts, self.offsets)], axis=0)
+
+
+@dataclass(frozen=True)
+class Raster(DomainSpec):
+    """Union of the cells of the interior nodes of a GridMask: a point
+    belongs to the cell of its nearest node."""
+
+    mask: GridMask
+    kind = "raster"
+
+    def __post_init__(self):
+        if self.mask.n_nodes == 0:
+            raise GeometryError("raster domain is empty")
+
+    @property
+    def volume(self) -> float:
+        return self.mask.volume()
+
+    def bounding_box(self):
+        (x0, y0), (nx, ny), h = self.mask.origin, self.mask.dims, self.mask.h
+        return (x0, y0), (x0 + h * (nx - 1), y0 + h * (ny - 1))
+
+    def _node_units(self, x, y):
+        m = self.mask
+        return (np.asarray(x) - m.origin[0]) / m.h, (np.asarray(y) - m.origin[1]) / m.h
+
+    def contains(self, x, y):
+        u, v = self._node_units(x, y)
+        i, j = np.rint(u), np.rint(v)
+        nx, ny = self.mask.dims
+        on_grid = (0 <= i) & (i < nx) & (0 <= j) & (j < ny)
+        return on_grid & self.mask.interior[
+            np.where(on_grid, i, 0).astype(np.int64),
+            np.where(on_grid, j, 0).astype(np.int64),
+        ]
+
+    def contains_box(self, x0, y0, x1, y1):
+        # In node units the open box (u0, u1) x (v0, v1) meets the cells of
+        # the nodes u0 - 1/2 < i < u1 + 1/2, v0 - 1/2 < j < v1 + 1/2. It lies
+        # inside iff all of them are on the grid and interior, which a range
+        # sum over a summed-area table of exterior nodes decides.
+        nx, ny = self.mask.dims
+        sat = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        sat[1:, 1:] = (~self.mask.interior).cumsum(0).cumsum(1)
+        u0, v0 = self._node_units(x0, y0)
+        u1, v1 = self._node_units(x1, y1)
+        i0 = np.floor(u0 - 0.5).astype(np.int64) + 1
+        j0 = np.floor(v0 - 0.5).astype(np.int64) + 1
+        i1 = np.ceil(u1 + 0.5).astype(np.int64)  # one past the last node
+        j1 = np.ceil(v1 + 0.5).astype(np.int64)
+        on_grid = (0 <= i0) & (i1 <= nx) & (0 <= j0) & (j1 <= ny)
+        i0, i1 = np.clip(i0, 0, nx), np.clip(i1, 0, nx)
+        j0, j1 = np.clip(j0, 0, ny), np.clip(j1, 0, ny)
+        exterior = sat[i1, j1] - sat[i0, j1] - sat[i1, j0] + sat[i0, j0]
+        return on_grid & (exterior == 0)
 
 
 def membership(spec: DomainSpec, point) -> bool:
@@ -254,28 +351,7 @@ def membership(spec: DomainSpec, point) -> bool:
         raise GeometryError(
             f"point dimension {len(point)} != domain dimension {spec.dimension}"
         )
-    k, p = spec.kind, spec.params
-    if k == "interval":
-        return 0.0 < point[0] < p["a"]
-    x, y = point
-    if k == "rectangle":
-        return 0.0 < x < p["a"] and 0.0 < y < p["b"]
-    if k == "disk":
-        return x * x + y * y < p["r"] ** 2
-    if k == "cusp":
-        return 1.0 < x < p["x_max"] and 0.0 < y < x ** (-p["p"])
-    if k == "union":
-        return any(
-            membership(part, (x - ox, y - oy))
-            for part, (ox, oy) in zip(p["parts"], p["offsets"])
-        )
-    # raster: the point belongs to the cell of its nearest node
-    m = p["mask"]
-    i = round((x - m.origin[0]) / m.h)
-    j = round((y - m.origin[1]) / m.h)
-    if 0 <= i < m.dims[0] and 0 <= j < m.dims[1]:
-        return bool(m.interior[i, j])
-    return False
+    return bool(spec.contains(*point))
 
 
 def rasterize(spec: DomainSpec, h: float) -> GridMask:
@@ -290,58 +366,10 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
     ny = int(math.floor((ymax - ymin) / h + 1e-9)) + 1
     xs = xmin + h * np.arange(nx)
     ys = ymin + h * np.arange(ny)
-    interior = np.empty((nx, ny), dtype=bool)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            interior[i, j] = membership(spec, (x, y))
+    interior = spec.contains(xs[:, None], ys[None, :])
     if not interior.any():
         raise GeometryError(f"rasterization at h={h} produced an empty mask")
     return GridMask(h, (xmin, ymin), (nx, ny), interior)
-
-
-# -- exact Euclidean distance transform -----------------------------------
-
-
-def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """Lower envelope of parabolas: squared distance transform of a sampled
-    function f along one axis (Felzenszwalb-Huttenlocher)."""
-    n = f.shape[0]
-    v = np.empty(n, dtype=np.int64)
-    z = np.empty(n + 1)
-    k = 0
-    v[0] = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-
-    def intersect(p, q):
-        # abscissa where parabola q overtakes parabola p; an infinite
-        # parabola is overtaken everywhere
-        if np.isinf(f[p]):
-            return -np.inf
-        if np.isinf(f[q]):
-            return np.inf
-        return ((f[q] + q * q) - (f[p] + p * p)) / (2.0 * (q - p))
-
-    for q in range(1, n):
-        s = intersect(v[k], q)
-        while k > 0 and s <= z[k]:
-            k -= 1
-            s = intersect(v[k], q)
-        if k == 0 and s <= z[0]:
-            v[0] = q
-        else:
-            k += 1
-            v[k] = q
-            z[k] = s
-        z[k + 1] = np.inf
-    d_out = np.empty(n)
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        p = v[k]
-        d_out[q] = (q - p) ** 2 + f[p]
-    return d_out
 
 
 def distance_to_complement(mask: GridMask) -> np.ndarray:
@@ -351,20 +379,12 @@ def distance_to_complement(mask: GridMask) -> np.ndarray:
     The lattice outside the bounding box is non-interior; padding by one
     ring is enough because any outer node is farther than the ring.
     """
+    # imported here: scipy.ndimage adds about 0.1 s to importing the package
+    from scipy.ndimage import distance_transform_edt
+
     if mask.n_nodes == 0:
         raise GeometryError("distance transform of an empty mask")
-    nx, ny = mask.dims
-    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask.interior
-    inf = np.inf
-    g = np.where(padded, inf, 0.0)
-    # pass 1: per-row squared distances, pass 2: per-column envelopes
-    for i in range(nx + 2):
-        g[i, :] = _edt_1d(g[i, :])
-    for j in range(ny + 2):
-        g[:, j] = _edt_1d(g[:, j])
-    dist = np.sqrt(g[1:-1, 1:-1]) * mask.h
-    return dist
+    return distance_transform_edt(np.pad(mask.interior, 1))[1:-1, 1:-1] * mask.h
 
 
 def inner_domain(mask: GridMask, eta: float) -> GridMask:
@@ -393,48 +413,41 @@ class CubeCover:
     covered_volume: float
 
 
-_CUBE_SAMPLES = 10  # per axis; conservative documented constant
-_CORNER_SHRINK = 1e-9  # corners pulled toward the cube center: open-cube test
-
-
-def _cube_inside(spec: DomainSpec, x0: float, y0: float, side: float) -> bool:
-    c = side * (np.arange(_CUBE_SAMPLES) + 0.5) / _CUBE_SAMPLES
-    for dx in c:
-        for dy in c:
-            if not membership(spec, (x0 + dx, y0 + dy)):
-                return False
-    eps = side * _CORNER_SHRINK
-    for dx in (eps, side - eps):
-        for dy in (eps, side - eps):
-            if not membership(spec, (x0 + dx, y0 + dy)):
-                return False
-    return True
-
-
 def cube_cover(spec: DomainSpec, eta: float) -> CubeCover:
     """Cubes from the single lattice of side eta/sqrt(2) anchored at the
-    origin whose (open) closures lie inside the domain."""
+    origin whose open interiors lie inside the domain, each tested exactly
+    by ``spec.contains_box``."""
     if eta <= 0:
         raise GeometryError("eta must be positive")
     if spec.dimension != 2:
         raise GeometryError("cube covers are 2-D only")
     side = eta / math.sqrt(2.0)
     (xmin, ymin), (xmax, ymax) = spec.bounding_box()
-    i0 = int(math.floor(xmin / side))
-    i1 = int(math.ceil(xmax / side))
-    j0 = int(math.floor(ymin / side))
-    j1 = int(math.ceil(ymax / side))
-    corners = []
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            x0, y0 = i * side, j * side
-            if _cube_inside(spec, x0, y0, side):
-                corners.append((x0, y0))
-    corners = np.array(corners, dtype=float).reshape(-1, 2)
+    x0 = side * np.arange(math.floor(xmin / side), math.ceil(xmax / side) + 1)
+    y0 = side * np.arange(math.floor(ymin / side), math.ceil(ymax / side) + 1)
+    x0, y0 = np.meshgrid(x0, y0, indexing="ij")
+    inside = spec.contains_box(x0, y0, x0 + side, y0 + side)
+    corners = np.stack([x0[inside], y0[inside]], axis=1)
     return CubeCover(eta, side, corners, len(corners) * side * side)
 
 
 # -- domain files ----------------------------------------------------------
+
+
+# kind -> constructor from a domain-file entry
+_LOADERS = {
+    "interval": lambda d, base: DomainSpec.interval(d["a"]),
+    "rectangle": lambda d, base: DomainSpec.rectangle(d["a"], d["b"]),
+    "disk": lambda d, base: DomainSpec.disk(d["r"]),
+    "cusp": lambda d, base: DomainSpec.cusp(d["p"], d["x_max"]),
+    "union": lambda d, base: DomainSpec.union(
+        [_domain_from_dict(p, base) for p in d["parts"]],
+        [p.get("offset", (0.0, 0.0)) for p in d["parts"]],
+    ),
+    "raster": lambda d, base: DomainSpec.raster(
+        load_mask(base / d["path"], d["h"])
+    ),
+}
 
 
 def load_domain(path) -> DomainSpec:
@@ -454,25 +467,12 @@ def _domain_from_dict(data, base: Path) -> DomainSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise GeometryError("domain entry must be an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _LOADERS:
+        raise GeometryError(f"unknown domain kind {kind!r}")
     try:
-        if kind == "interval":
-            return DomainSpec.interval(data["a"])
-        if kind == "rectangle":
-            return DomainSpec.rectangle(data["a"], data["b"])
-        if kind == "disk":
-            return DomainSpec.disk(data["r"])
-        if kind == "cusp":
-            return DomainSpec.cusp(data["p"], data["x_max"])
-        if kind == "union":
-            parts = [_domain_from_dict(p, base) for p in data["parts"]]
-            offsets = [p.get("offset", (0.0, 0.0)) for p in data["parts"]]
-            return DomainSpec.union(parts, offsets)
-        if kind == "raster":
-            mask = load_mask(base / data["path"], data["h"])
-            return DomainSpec.raster(mask)
+        return _LOADERS[kind](data, base)
     except KeyError as exc:
         raise GeometryError(f"domain kind {kind!r}: missing field {exc}") from exc
-    raise GeometryError(f"unknown domain kind {kind!r}")
 
 
 def load_mask(path, h: float) -> GridMask:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import Spectrum
-from .spectral import counting, gamma_half
+from .spectral import counting
 
 TRUST_TAIL_RATIO = 0.01
 
@@ -190,7 +190,7 @@ def karamata_estimate(samples: HeatTraceSamples, n: int | None = None,
     resid = float(np.linalg.norm(g @ coef - h) / np.linalg.norm(h))
     return WeylEstimate(
         coefficient=float(coef[0]),
-        eq_constant=float(coef[0]) / gamma_half(n + 2),
+        eq_constant=float(coef[0]) / math.gamma(n / 2.0 + 1.0),
         boundary_term=float(coef[1]),
         constant_term=float(coef[2]),
         fit_window=(float(t.min()), float(t.max())),

@@ -33,22 +33,11 @@ class InvariantViolation(AssertionError):
     """An exact discrete identity failed; this signals a bug, not noise."""
 
 
-def gamma_half(two_s: int) -> float:
-    """Gamma(s) for 2s = two_s, via the half-integer recursion."""
-    if two_s <= 0:
-        raise ValueError("argument must be positive")
-    if two_s == 1:
-        return math.sqrt(math.pi)
-    if two_s == 2:
-        return 1.0
-    return (two_s / 2.0 - 1.0) * gamma_half(two_s - 2)
-
-
 def weyl_constant(n: int, volume: float) -> float:
     """Leading coefficient (4 pi)^{-n/2} |Omega| / Gamma(n/2 + 1)."""
     if n < 1 or volume <= 0:
         raise ValueError("need n >= 1 and positive volume")
-    return (4.0 * math.pi) ** (-n / 2.0) / gamma_half(n + 2) * volume
+    return (4.0 * math.pi) ** (-n / 2.0) / math.gamma(n / 2.0 + 1.0) * volume
 
 
 def counting(spectrum: Spectrum, lam: float) -> int:
@@ -58,14 +47,6 @@ def counting(spectrum: Spectrum, lam: float) -> int:
             f"lambda={lam} exceeds spectrum cutoff {spectrum.cutoff}"
         )
     return int(np.searchsorted(spectrum.values, lam, side="left"))
-
-
-@dataclass(frozen=True)
-class CountingFunction:
-    spectrum: Spectrum
-
-    def __call__(self, lam: float) -> int:
-        return counting(self.spectrum, lam)
 
 
 def robust_count(target, lam: float, dense_limit: int = DENSE_LIMIT) -> int:

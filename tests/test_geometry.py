@@ -89,6 +89,10 @@ class TestVolume:
                 [(0, 0), (0.5, 0)],
             )
 
+    def test_union_without_parts_rejected(self):
+        with pytest.raises(GeometryError):
+            DomainSpec.union([], [])
+
     def test_invalid_cusp(self):
         with pytest.raises(GeometryError):
             DomainSpec.cusp(1.0, 10.0)
@@ -121,6 +125,26 @@ class TestRasterize:
         mask = rasterize(spec, 1 / 16)
         for x, y in mask.node_coords():
             assert membership(spec, (x, y))
+
+    def test_cusp_node_on_graph_is_outside(self):
+        mask = rasterize(DomainSpec.cusp(2, 4), 0.25)
+        assert not mask.interior[4, 1]  # node (2, 0.25) lies on y = x^-2
+        assert mask.interior[1, 1]  # node (1.25, 0.25) lies below it
+
+    def test_union_shared_edge_nodes_outside(self):
+        spec = DomainSpec.union([DomainSpec.rectangle(1, 1)] * 2, [(0, 0), (1, 0)])
+        mask = rasterize(spec, 0.25)
+        assert mask.dims == (9, 5)
+        assert not mask.interior[4].any()  # the column x = 1
+        assert mask.n_nodes == 2 * 9
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), h=st.sampled_from([1.0, 0.1, 0.01, 1 / 64]))
+    def test_raster_round_trip(self, seed, h):
+        mask = random_mask(seed, dims=(13, 8), h=h)
+        again = rasterize(DomainSpec.raster(mask), h)
+        assert (again.h, again.origin, again.dims) == (mask.h, mask.origin, mask.dims)
+        assert np.array_equal(again.interior, mask.interior)
 
 
 class TestDistanceTransform:
@@ -210,6 +234,47 @@ class TestCubeCover:
             for dx in offs:
                 for dy in offs:
                     assert membership(spec, (x0 + dx, y0 + dy))
+
+    def test_cube_over_raster_hole_dropped(self):
+        square = rasterize(DomainSpec.rectangle(1, 1), 0.01)
+        keep = np.ones(square.dims, dtype=bool)
+        keep[36, 36] = False  # one-node hole at (0.36, 0.36)
+        cover = cube_cover(DomainSpec.raster(square.restrict(keep)), 0.2 * math.sqrt(2))
+        # the 3 x 3 cubes of side 0.2 in [0.2, 0.8]^2, less the one over the hole
+        assert len(cover.corners) == 8
+        assert not np.any(np.all(np.abs(cover.corners - 0.2) < 1e-9, axis=1))
+
+    def test_union_cube_across_shared_edge_dropped(self):
+        spec = DomainSpec.union([DomainSpec.rectangle(1, 1)] * 2, [(0, 0), (1, 0)])
+        cover = cube_cover(spec, 0.3 * math.sqrt(2))
+        # the column of cubes over (0.9, 1.2) contains the edge x = 1,
+        # which belongs to neither part
+        x0 = cover.corners[:, 0]
+        assert np.all((x0 + cover.side <= 1) | (x0 >= 1))
+        assert len(cover.corners) == 9 + 6
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_raster_box_test_matches_brute_force(self, seed):
+        mask = random_mask(seed, dims=(6, 5), fill=0.8)
+        spec = DomainSpec.raster(mask)
+        nx, ny = mask.dims
+        # A box lies inside iff every node cell it meets is interior. The
+        # point of the box nearest a node's center lies in that node's cell
+        # whenever the cell meets the box, so the nearest-node lookup at
+        # these points decides both ways. Corners and sides are multiples
+        # of 1/16, so every comparison is exact and eps is below any gap.
+        ci, cj = np.meshgrid(np.arange(-1, nx + 1), np.arange(-1, ny + 1))
+        ci, cj = ci.ravel(), cj.ravel()
+        x0 = np.arange(-2.0, nx + 0.5, 1 / 16)[:, None]
+        y0 = np.arange(-2.0, ny + 0.5, 1 / 16)[None, :]
+        eps = 1e-3
+        for side in (1 / 16, 5 / 16, 0.5, 9 / 16, 1.0, 23 / 16, 2.5):
+            x1, y1 = x0 + side, y0 + side
+            px = np.clip(ci, x0[..., None] + eps, x1[..., None] - eps)
+            py = np.clip(cj, y0[..., None] + eps, y1[..., None] - eps)
+            brute = spec.contains(px, py).all(axis=-1)
+            assert np.array_equal(spec.contains_box(x0, y0, x1, y1), brute)
 
     def test_cubes_disjoint_lattice(self):
         cover = cube_cover(DomainSpec.disk(1), 0.3 * math.sqrt(2))

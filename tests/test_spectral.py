@@ -21,7 +21,6 @@ from weylcheck.spectral import (
     cube_lower_bound,
     check_ratio_ordering,
     eigenvalue_avoiding_grid,
-    gamma_half,
     solve_all_problems,
     split_separated,
     superadditivity_check,
@@ -37,12 +36,6 @@ SINGLE = GridMask(1.0, (0, 0), (1, 1), np.array([[True]]))
 
 
 class TestWeylConstant:
-    def test_gamma_recursion(self):
-        assert gamma_half(1) == pytest.approx(math.sqrt(math.pi))
-        assert gamma_half(2) == 1.0
-        assert gamma_half(3) == pytest.approx(math.sqrt(math.pi) / 2)
-        assert gamma_half(8) == pytest.approx(6.0)
-
     def test_dimension_two(self):
         assert weyl_constant(2, 1.0) == pytest.approx(1 / (4 * math.pi))
 
