@@ -137,7 +137,7 @@ def cmd_count(args) -> int:
     else:
         target = discretization.assemble_buckling_pencil(mask)
         theta = args.lam
-    count = spectral.robust_count(target, theta, args.dense_limit)
+    count = spectral.robust_count(target, theta)
     _write_summary(out, "count",
                    {"domain": args.domain, "h": args.h, "lam": args.lam,
                     "problem": args.problem},
@@ -212,9 +212,10 @@ def cmd_cover(args) -> int:
         lb = spectral.cube_lower_bound(cover, args.lam)
         results["lambda"] = args.lam
         results["lower_bound"] = lb
-        results["weyl_prediction"] = spectral.weyl_constant(
-            2, cover.covered_volume
-        ) * args.lam
+        results["weyl_prediction"] = (
+            spectral.weyl_constant(2, cover.covered_volume) * args.lam
+            if len(cover.corners) else 0.0
+        )
     _write_csv(out / "cubes.csv", "x,y,side",
                [(float(x), float(y), cover.side) for x, y in cover.corners])
     _write_summary(out, "cover", {"domain": args.domain, "eta": args.eta,
@@ -299,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         if domain:
             p.add_argument("--domain", required=True, help="domain JSON file")
         p.add_argument("-o", "--output-dir", default=".", help="output directory")
-        p.add_argument("--dense-limit", type=int, default=eigensolve.DENSE_LIMIT)
+        p.add_argument("--dense-limit", type=int, default=eigensolve.DENSE_LIMIT,
+                       help="largest node count for dense spectra; inertia "
+                            "counts are not bounded by it")
 
     p = sub.add_parser("solve", help="grid eigenvalues of one problem")
     common(p)
@@ -310,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("count", help="exact count below a threshold by inertia")
+    p = sub.add_parser(
+        "count",
+        help="exact count below a threshold by sparse inertia "
+             "(not bounded by --dense-limit)")
     common(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--lam", type=float, required=True)

@@ -163,7 +163,8 @@ def karamata_estimate(samples: HeatTraceSamples, n: int | None = None,
                       t_min: float | None = None,
                       t_max: float | None = None) -> WeylEstimate:
     """Two-term tauberian fit on the trusted window; the boundary term
-    t^{-(n-1)/2} is modeled so it cannot pollute the leading coefficient."""
+    t^{-(n-1)/2} is modeled so it cannot pollute the leading coefficient.
+    In one dimension that term is the constant, and constant_term is 0."""
     if n is None:
         n = samples.n
     keep = samples.trusted.copy()
@@ -179,8 +180,11 @@ def karamata_estimate(samples: HeatTraceSamples, n: int | None = None,
         )
     if t.max() / t.min() < 10.0 * (1 - 1e-9):
         raise HeatTraceError("trusted window must span at least a decade in t")
-    g = np.stack([t ** (-n / 2.0), t ** (-(n - 1) / 2.0), np.ones_like(t)],
-                 axis=1)
+    # for n = 1 the boundary column t^0 is the constant column itself
+    columns = [t ** (-n / 2.0), t ** (-(n - 1) / 2.0)]
+    if n > 1:
+        columns.append(np.ones_like(t))
+    g = np.stack(columns, axis=1)
     normal = g.T @ g
     if np.linalg.cond(normal) > 1e12:
         raise HeatTraceError(
@@ -192,7 +196,7 @@ def karamata_estimate(samples: HeatTraceSamples, n: int | None = None,
         coefficient=float(coef[0]),
         eq_constant=float(coef[0]) / math.gamma(n / 2.0 + 1.0),
         boundary_term=float(coef[1]),
-        constant_term=float(coef[2]),
+        constant_term=float(coef[2]) if n > 1 else 0.0,
         fit_window=(float(t.min()), float(t.max())),
         residual=resid,
     )

@@ -49,13 +49,13 @@ def counting(spectrum: Spectrum, lam: float) -> int:
     return int(np.searchsorted(spectrum.values, lam, side="left"))
 
 
-def robust_count(target, lam: float, dense_limit: int = DENSE_LIMIT) -> int:
+def robust_count(target, lam: float) -> int:
     """Inertia count with the strictness-preserving retry: a shift landing
     on an eigenvalue is perturbed by a relative 1e-9 downward first (strict
     counting), then upward."""
     for theta in (lam, lam * (1 - 1e-9), lam * (1 + 1e-9)):
         try:
-            return inertia_count(target, theta, dense_limit)
+            return inertia_count(target, theta)
         except ShiftOnEigenvalueError:
             continue
     raise ShiftOnEigenvalueError(
@@ -137,10 +137,10 @@ def verify_chain(mask: GridMask, lam_grid, method: str = "dense",
                  dense_limit: int = DENSE_LIMIT) -> ChainReport:
     """Check N_b <= N_bl <= N_D at every lambda, with exact integer counts.
 
-    method 'dense' counts in full spectra; 'inertia' counts through
-    symmetric-indefinite factorizations (B - lambda^2 I for the
-    bilaplacian roots, pencil inertia for buckling). A violation raises:
-    the chain is a theorem of the discretization.
+    method 'dense' counts in full spectra, within ``dense_limit`` nodes;
+    'inertia' counts by sparse slab elimination at any size (B - lambda^2 I
+    for the bilaplacian roots, pencil inertia for buckling). A violation
+    raises: the chain is a theorem of the discretization.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if method == "dense":
@@ -152,9 +152,9 @@ def verify_chain(mask: GridMask, lam_grid, method: str = "dense",
         a = assemble_dirichlet_laplacian(mask)
         b = assemble_clamped_bilaplacian(mask)
         pencil = OperatorPencil(b, a)
-        n_d = np.array([robust_count(a, l, dense_limit) for l in lam_grid])
-        n_bl = np.array([robust_count(b, l * l, dense_limit) for l in lam_grid])
-        n_b = np.array([robust_count(pencil, l, dense_limit) for l in lam_grid])
+        n_d = np.array([robust_count(a, l) for l in lam_grid])
+        n_bl = np.array([robust_count(b, l * l) for l in lam_grid])
+        n_b = np.array([robust_count(pencil, l) for l in lam_grid])
     else:
         raise ValueError(f"unknown counting method {method!r}")
     report = ChainReport(lam_grid, n_b, n_bl, n_d)

@@ -88,6 +88,44 @@ def test_heat_and_karamata(square_json, tmp_path):
     assert results["relative_error"] < 0.02
 
 
+def test_karamata_interval(tmp_path):
+    # in one dimension the boundary term t^0 is the constant: the two
+    # endpoints contribute -1/2
+    domain = tmp_path / "interval.json"
+    domain.write_text('{"kind": "interval", "a": 1.0}')
+    out = tmp_path / "kar"
+    assert main(["karamata", "--domain", str(domain), "--lam-max", "1e6",
+                 "-o", str(out)]) == 0
+    results = read_summary(out)["results"]
+    assert results["relative_error"] < 1e-9
+    assert abs(results["boundary_term"] + 0.5) < 1e-9
+    assert results["constant_term"] == 0.0
+
+
+def test_cover_lam_without_cubes(tmp_path):
+    (tmp_path / "ring.txt").write_text(
+        "..........\n.########.\n.########.\n..........\n")
+    domain = tmp_path / "ring.json"
+    domain.write_text('{"kind": "raster", "path": "ring.txt", "h": 0.1}')
+    out = tmp_path / "cover"
+    assert main(["cover", "--domain", str(domain), "--eta", "0.3",
+                 "--lam", "1000", "-o", str(out)]) == 0
+    results = read_summary(out)["results"]
+    assert results["cubes"] == 0
+    assert results["lower_bound"] == 0
+    assert results["weyl_prediction"] == 0.0
+
+
+def test_count_not_bounded_by_dense_limit(square_json, tmp_path):
+    counts = []
+    for extra in ([], ["--dense-limit", "10"]):
+        out = tmp_path / f"count{len(extra)}"
+        assert main(["count", "--domain", square_json, "--h", "0.05",
+                     "--lam", "500.0", "-o", str(out), *extra]) == 0
+        counts.append(read_summary(out)["results"]["count"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_malformed_domain_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "rectangle", "a": 1.0')

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from weylcheck.discretization import (
     assemble_buckling_pencil,
     assemble_dirichlet_laplacian,
 )
+from weylcheck.geometry import DomainSpec, rasterize
+from weylcheck.spectral import verify_chain
 from weylcheck.eigensolve import (
     ShiftOnEigenvalueError,
     SolverError,
@@ -27,6 +30,23 @@ from conftest import random_mask
 
 def op_from_dense(a):
     return SymmetricOperator(sp.csr_matrix(np.asarray(a, dtype=float)))
+
+
+def dense_eigenvalues(target):
+    """Oracle spectrum of an operator or pencil from scipy's dense eigh."""
+    if hasattr(target, "b"):
+        return la.eigh(target.b.dense(), target.a.dense(), eigvals_only=True)
+    return la.eigh(target.dense(), eigvals_only=True)
+
+
+def grid_rectangle_spectrum(a, b, h):
+    """Closed-form spectrum of the 5-point Dirichlet Laplacian on the
+    (0,a)x(0,b) grid: (4/h^2)(sin^2(m pi h / 2a) + sin^2(n pi h / 2b))."""
+    m = np.arange(1, round(a / h))
+    n = np.arange(1, round(b / h))
+    values = (4.0 / h**2) * (np.sin(m * math.pi * h / (2 * a))[:, None] ** 2
+                             + np.sin(n * math.pi * h / (2 * b))[None, :] ** 2)
+    return np.sort(values.ravel())
 
 
 class TestSpectrum:
@@ -168,3 +188,48 @@ class TestInertiaCount:
         op = op_from_dense(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(ShiftOnEigenvalueError):
             inertia_count(op, 2.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           dims=st.sampled_from([(19, 7), (7, 19), (12, 12)]),
+           fill=st.sampled_from([0.3, 0.55, 0.8]),
+           picks=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                          min_size=1, max_size=6))
+    def test_matches_dense_oracle(self, seed, dims, fill, picks):
+        # wide and tall masks take the two slab orientations; each pick is
+        # a gap of the spectrum and a position inside it
+        pencil = assemble_buckling_pencil(random_mask(seed, dims=dims, fill=fill))
+        for target in (pencil.a, pencil.b, pencil):
+            w = dense_eigenvalues(target)
+            edges = np.concatenate([[0.5 * w[0]], w, [1.5 * w[-1]]])
+            for gap, pos in picks:
+                k = min(int(gap * (edges.size - 1)), edges.size - 2)
+                theta = edges[k] + pos * (edges[k + 1] - edges[k])
+                if np.abs(w - theta).min() < 1e-9 * theta:
+                    continue
+                assert inertia_count(target, theta) == int((w < theta).sum())
+
+    @pytest.mark.parametrize("f", [1e-12, 1e-11, 1e-10])
+    def test_singular_slab_below_multiple_eigenvalue(self, f):
+        # at h = 1/40 the first slab of A - theta I is singular at
+        # theta = 4/h^2 = 6400, which is also a 39-fold grid eigenvalue;
+        # eliminating that slab unguarded miscounts just below it
+        h = 1 / 40
+        mask = rasterize(DomainSpec.rectangle(2.0, 1.0), h)
+        exact = grid_rectangle_spectrum(2.0, 1.0, h)
+        theta = 6400.0 * (1 - f)
+        assert int((exact < theta).sum()) == 1521
+        assert inertia_count(assemble_dirichlet_laplacian(mask), theta) == 1521
+
+    def test_past_dense_limit(self):
+        h = 1 / 70
+        mask = rasterize(DomainSpec.rectangle(2.0, 1.0), h)
+        assert mask.n_nodes == 9591
+        a = assemble_dirichlet_laplacian(mask)
+        exact = grid_rectangle_spectrum(2.0, 1.0, h)
+        for theta in (300.0, 3000.0, 30000.0):
+            assert inertia_count(a, theta) == int((exact < theta).sum())
+        report = verify_chain(mask, [100.0, 1000.0, 3000.0], method="inertia")
+        assert report.ok
+        assert list(report.n_d) == [int((exact < l).sum())
+                                    for l in (100.0, 1000.0, 3000.0)]
