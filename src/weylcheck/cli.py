@@ -108,7 +108,8 @@ def cmd_solve(args) -> int:
         b = discretization.assemble_clamped_bilaplacian(mask)
         omega_sq = eigensolve.lowest_k(b, args.k, tol=args.tol)
         result = eigensolve.Spectrum(
-            "bilaplacian_root", np.sqrt(omega_sq.values), source="grid"
+            "bilaplacian_root", np.sqrt(omega_sq.values),
+            cutoff=math.sqrt(omega_sq.cutoff), source="grid"
         )
     else:
         pencil = discretization.assemble_buckling_pencil(mask)
@@ -296,16 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, domain=True):
+    def common(p, domain=True, dense_limit=False):
         if domain:
             p.add_argument("--domain", required=True, help="domain JSON file")
         p.add_argument("-o", "--output-dir", default=".", help="output directory")
-        p.add_argument("--dense-limit", type=int, default=eigensolve.DENSE_LIMIT,
-                       help="largest node count for dense spectra; inertia "
-                            "counts are not bounded by it")
+        if dense_limit:
+            p.add_argument("--dense-limit", type=int, default=eigensolve.DENSE_LIMIT,
+                           help="largest node count for dense spectra; "
+                                "inertia counts are not bounded by it")
 
     p = sub.add_parser("solve", help="grid eigenvalues of one problem")
-    common(p)
+    common(p, dense_limit=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
@@ -313,10 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser(
-        "count",
-        help="exact count below a threshold by sparse inertia "
-             "(not bounded by --dense-limit)")
+    p = sub.add_parser("count",
+                       help="exact count below a threshold by sparse inertia")
     common(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--lam", type=float, required=True)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("chain", help="verify N_b <= N_bl <= N_D")
-    common(p)
+    common(p, dense_limit=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--lambdas", default="auto:50",
                    help="'auto:K' for K eigenvalue-avoiding midpoints, or a comma list")
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("super", help="verify counting superadditivity on a split")
-    common(p)
+    common(p, dense_limit=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--lam", type=float, default=None,
                    help="threshold; default: median eigenvalue-avoiding midpoint")

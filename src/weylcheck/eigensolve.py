@@ -92,7 +92,8 @@ def dense_spectrum(op: SymmetricOperator, dense_limit: int = DENSE_LIMIT,
 
 def generalized_spectrum(pencil: OperatorPencil, k: int | None = None,
                          dense_limit: int = DENSE_LIMIT) -> Spectrum:
-    """Lowest k eigenvalues of B u = mu A u by Cholesky reduction of A."""
+    """Lowest k eigenvalues of B u = mu A u by Cholesky reduction of A;
+    a truncated spectrum is complete below its cutoff, the (k+1)-th value."""
     _check_dense(pencil.a, dense_limit)
     a = pencil.a.dense()
     b = pencil.b.dense()
@@ -104,118 +105,38 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None,
     c = la.solve_triangular(r, la.solve_triangular(r, b.T, trans="T").T, trans="T")
     c = 0.5 * (c + c.T)
     w = la.eigh(c, eigvals_only=True)
-    if k is not None:
-        w = w[:k]
-    return Spectrum("buckling", w, cutoff=math.inf, source="grid")
+    cutoff = math.inf
+    if k is not None and k < w.size:
+        w, cutoff = w[:k], float(w[k])
+    return Spectrum("buckling", w, cutoff=cutoff, source="grid")
 
 
-def _lanczos_lowest(a, lu, norm, k, tol, cap, rng, deflate):
-    """Shift-inverted Lanczos with full reorthogonalization on the
-    complement of the deflation space. Returns (values, vectors) for the
-    k smallest eigenvalues reachable from a single Krylov sequence."""
-    n = a.shape[0]
-    free = n - (deflate.shape[1] if deflate is not None else 0)
-    k = min(k, free)
-    if k == 0:
-        return np.empty(0), np.empty((n, 0))
-    cap = min(cap, free)
-
-    def project_out(x):
-        if deflate is not None:
-            x -= deflate @ (deflate.T @ x)
-        return x
-
-    q = np.empty((n, cap))
-    alphas = np.empty(cap)
-    betas = np.zeros(cap)  # betas[m-1] couples q[:, m-1] and q[:, m]
-    v = project_out(rng.standard_normal(n))
-    q[:, 0] = v / np.linalg.norm(v)
-    last_resid = None
-    m = 0
-    while m < cap:
-        u = lu.solve(q[:, m])
-        alphas[m] = float(q[:, m] @ u)
-        # full reorthogonalization (two sweeps) subsumes the short recurrence
-        for _ in range(2):
-            u = project_out(u)
-            u -= q[:, : m + 1] @ (q[:, : m + 1].T @ u)
-        m += 1
-        beta = float(np.linalg.norm(u))
-
-        if m >= k and (m == cap or beta < 1e-13 or m % 5 == 0):
-            theta, s = la.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-            # largest Ritz values of the inverse = smallest eigenvalues of A
-            order = np.argsort(theta)[::-1][:k]
-            vecs = q[:, :m] @ s[:, order]
-            w = 1.0 / theta[order]
-            last_resid = np.array(
-                [np.linalg.norm(a @ x - wi * x) for wi, x in zip(w, vecs.T)]
-            )
-            if np.all(last_resid <= tol * max(norm, 1.0)):
-                asc = np.argsort(w)
-                return w[asc], vecs[:, asc]
-            if m == cap:
-                break
-
-        if m == cap:
-            break
-        if beta < 1e-13:
-            # invariant subspace: restart with a fresh orthogonal direction
-            v = project_out(rng.standard_normal(n))
-            v -= q[:, :m] @ (q[:, :m].T @ v)
-            nv = np.linalg.norm(v)
-            if nv < 1e-13:
-                break
-            q[:, m] = v / nv
-            betas[m - 1] = 0.0
-        else:
-            q[:, m] = u / beta
-            betas[m - 1] = beta
-    raise SolverError(
-        f"Lanczos did not converge within {m} iterations; "
-        f"achieved residuals {last_resid}"
-    )
-
-
-def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8,
-             max_iter: int | None = None, seed: int = 0) -> Spectrum:
-    """Lowest k eigenvalues by shift-inverted Lanczos with full
-    reorthogonalization, restarted on Krylov breakdown.
-
-    The single shift sits at zero (the operators here are positive
-    definite); convergence is declared on the residual in the original
-    operator, ||A v - w v|| <= tol * |A|. A single Krylov sequence sees
-    each eigenspace once, so after convergence the solver probes the
-    orthogonal complement of the found vectors until no missed copy of a
-    degenerate eigenvalue remains below the k-th value.
-    """
+def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
+    """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
+    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``), started from
+    a fixed-seed random vector so that reruns are bit-identical; k = n,
+    which ARPACK cannot do, takes the dense path. Every returned pair must
+    satisfy ||A v - w v|| <= tol * |A|, or SolverError is raised. A
+    truncated spectrum is cut off at its largest value."""
     n = op.n_rows
     if not 1 <= k <= n:
         raise SolverError(f"k={k} out of range for n={n}")
-    a = op.matrix.tocsc()
     try:
-        lu = spla.splu(a)
-    except RuntimeError as exc:
-        raise SolverError("shift-invert factorization failed") from exc
-    norm = op.norm_estimate()
-    rng = np.random.default_rng(seed)
-    cap = max_iter if max_iter is not None else min(n, max(6 * k + 60, 120))
-
-    w, vecs = _lanczos_lowest(a, lu, norm, k, tol, cap, rng, deflate=None)
-    for _ in range(k):
-        if vecs.shape[1] >= n:
-            break
-        probe_w, probe_v = _lanczos_lowest(
-            a, lu, norm, 1, tol, cap, rng, deflate=vecs
+        if k == n:
+            w, v = la.eigh(op.dense())
+        else:
+            v0 = np.random.default_rng(0).standard_normal(n)
+            w, v = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0, which="LM",
+                              v0=v0)
+    except (RuntimeError, la.LinAlgError) as exc:
+        raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
+    resid = np.linalg.norm(op.matrix @ v - v * w, axis=0)
+    if np.any(resid > tol * max(op.norm_estimate(), 1.0)):
+        raise SolverError(
+            f"residual {resid.max():.3e} exceeds {tol:g}*|A| for some pair"
         )
-        if probe_w.size == 0 or probe_w[0] > w[k - 1] * (1 + 10 * tol):
-            break
-        merged = np.argsort(np.append(w, probe_w[0]))
-        vecs = np.hstack([vecs, probe_v])[:, merged]
-        w = np.append(w, probe_w[0])[merged]
-        if w.size > k and w[k] > w[k - 1] * (1 + 10 * tol):
-            w, vecs = w[:k], vecs[:, :k]
-    return Spectrum("dirichlet", w[:k], source="grid")
+    cutoff = math.inf if k == n else float(w.max())
+    return Spectrum("dirichlet", w, cutoff=cutoff, source="grid")
 
 
 # A slab whose elimination would add an entry above this multiple of the

@@ -50,17 +50,17 @@ def counting(spectrum: Spectrum, lam: float) -> int:
 
 
 def robust_count(target, lam: float) -> int:
-    """Inertia count with the strictness-preserving retry: a shift landing
-    on an eigenvalue is perturbed by a relative 1e-9 downward first (strict
-    counting), then upward."""
-    for theta in (lam, lam * (1 - 1e-9), lam * (1 + 1e-9)):
-        try:
-            return inertia_count(target, theta)
-        except ShiftOnEigenvalueError:
-            continue
-    raise ShiftOnEigenvalueError(
-        f"all shifts near {lam} sit on the spectrum"
-    )
+    """Inertia count strictly below lam. A shift landing on an eigenvalue
+    is retried at lam(1 - 1e-9) and lam(1 + 1e-9): the two counts agree
+    only when no eigenvalue lies between them, lam included, and then give
+    the strict count. Otherwise the ShiftOnEigenvalueError stands."""
+    try:
+        return inertia_count(target, lam)
+    except ShiftOnEigenvalueError:
+        below = inertia_count(target, lam * (1 - 1e-9))
+        if below != inertia_count(target, lam * (1 + 1e-9)):
+            raise
+        return below
 
 
 # -- triple of spectra on one mask ----------------------------------------

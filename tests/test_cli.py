@@ -41,6 +41,18 @@ def test_solve_dirichlet(square_json, tmp_path):
     assert values[0] == pytest.approx(2 * math.pi**2, rel=0.05)
 
 
+def test_solve_cutoff_is_largest_value(square_json, tmp_path):
+    # a truncated spectrum is complete only up to its largest value; the
+    # bilaplacian roots carry the root of the operator's cutoff
+    for problem in ("dirichlet", "bilaplacian"):
+        out = tmp_path / problem
+        assert main(["solve", "--domain", square_json, "--h", "0.1", "--k", "3",
+                     "--problem", problem, "-o", str(out)]) == 0
+        header = (out / "spectrum.csv").read_text().splitlines()[0]
+        values = read_summary(out)["results"]["values"]
+        assert header.endswith(f" cutoff={values[-1]!r}")
+
+
 def test_count_matches_solve(square_json, tmp_path):
     out = tmp_path / "out"
     assert main(["count", "--domain", square_json, "--h", "0.1",
@@ -117,13 +129,20 @@ def test_cover_lam_without_cubes(tmp_path):
 
 
 def test_count_not_bounded_by_dense_limit(square_json, tmp_path):
-    counts = []
-    for extra in ([], ["--dense-limit", "10"]):
-        out = tmp_path / f"count{len(extra)}"
-        assert main(["count", "--domain", square_json, "--h", "0.05",
-                     "--lam", "500.0", "-o", str(out), *extra]) == 0
-        counts.append(read_summary(out)["results"]["count"])
-    assert counts[0] == counts[1] > 0
+    # 9,801 nodes at h = 0.01, past the default dense limit of 8,192
+    out = tmp_path / "count"
+    assert main(["count", "--domain", square_json, "--h", "0.01",
+                 "--lam", "500.0", "-o", str(out)]) == 0
+    results = read_summary(out)["results"]
+    assert results["nodes"] == 9801
+    # closed-form eigenvalues of the five-point grid Laplacian
+    s = 4e4 * np.sin(np.arange(1, 100) * math.pi / 200) ** 2
+    assert results["count"] == int((s[:, None] + s[None, :] < 500.0).sum())
+    # count never reads --dense-limit, so it does not accept it
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--domain", square_json, "--h", "0.05",
+              "--lam", "500.0", "--dense-limit", "10", "-o", str(out)])
+    assert exc.value.code == 2
 
 
 def test_malformed_domain_is_config_error(tmp_path):
@@ -145,9 +164,16 @@ def test_numerical_failure_exit(square_json, tmp_path):
 
 
 def test_rerun_byte_identical(square_json, tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["chain", "--domain", square_json, "--h", "0.1",
-                     "--lambdas", "auto:20", "-o", str(out)]) == 0
-    assert (out1 / "chain.csv").read_bytes() == (out2 / "chain.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    disk = tmp_path / "disk.json"
+    disk.write_text('{"kind": "disk", "r": 1.0}')
+    runs = [(["chain", "--domain", square_json, "--h", "0.1",
+              "--lambdas", "auto:20"], "chain.csv"),
+            (["solve", "--domain", str(disk), "--h", "0.025", "--k", "10"],
+             "spectrum.csv")]
+    for k, (args, table) in enumerate(runs):
+        out1, out2 = tmp_path / f"a{k}", tmp_path / f"b{k}"
+        for out in (out1, out2):
+            assert main([*args, "-o", str(out)]) == 0
+        assert (out1 / table).read_bytes() == (out2 / table).read_bytes()
+        assert ((out1 / "summary.json").read_bytes()
+                == (out2 / "summary.json").read_bytes())

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from weylcheck.discretization import (
     SymmetricOperator,
     assemble_buckling_pencil,
+    assemble_clamped_bilaplacian,
     assemble_dirichlet_laplacian,
 )
 from weylcheck.geometry import DomainSpec, rasterize
-from weylcheck.spectral import verify_chain
+from weylcheck.heat import heat_trace
+from weylcheck.spectral import counting, verify_chain
 from weylcheck.eigensolve import (
     ShiftOnEigenvalueError,
     SolverError,
@@ -37,6 +39,15 @@ def dense_eigenvalues(target):
     if hasattr(target, "b"):
         return la.eigh(target.b.dense(), target.a.dense(), eigvals_only=True)
     return la.eigh(target.dense(), eigvals_only=True)
+
+
+def symmetric_mask(seed, size, fill):
+    """Random mask mirrored in x, y and the diagonal; the symmetry group of
+    the square forces doubly degenerate eigenvalues."""
+    m = random_mask(seed, dims=(size, size), fill=fill).interior
+    m = m | m.T
+    m = m | m[::-1] | m[:, ::-1] | m[::-1, ::-1]
+    return GridMask(1.0, (0.0, 0.0), (size, size), m)
 
 
 def grid_rectangle_spectrum(a, b, h):
@@ -110,6 +121,17 @@ class TestGeneralizedSpectrum:
         ref = la.eigh(pencil.b.dense(), pencil.a.dense(), eigvals_only=True)
         assert np.allclose(mu, ref, rtol=1e-9)
 
+    def test_truncated_cutoff(self):
+        mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
+        pencil = assemble_buckling_pencil(mask)
+        full = generalized_spectrum(pencil)
+        low = generalized_spectrum(pencil, 5)
+        assert full.cutoff == math.inf
+        assert low.cutoff == full.values[5]
+        assert counting(low, low.cutoff) == counting(full, low.cutoff)
+        with pytest.raises(ValueError):
+            counting(low, 1e4)
+
     def test_mu_at_least_lambda1(self):
         # chain consequence: mu_j >= lambda_1 on the same grid
         for seed in range(20):
@@ -146,9 +168,45 @@ class TestLowestK:
         fast = lowest_k(a, k, tol=1e-9).values
         assert np.allclose(fast, dense, rtol=1e-7)
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), size=st.sampled_from([8, 11, 12]),
+           fill=st.sampled_from([0.05, 0.1, 0.2]),
+           k=st.sampled_from([1, 2, 5, 6, 10, 20]))
+    def test_multiplicity_on_symmetric_masks(self, seed, size, fill, k):
+        mask = symmetric_mask(seed, size, fill)
+        for op in (assemble_dirichlet_laplacian(mask),
+                   assemble_clamped_bilaplacian(mask)):
+            kk = min(k, op.n_rows)
+            dense = la.eigh(op.dense(), eigvals_only=True)[:kk]
+            assert np.allclose(lowest_k(op, kk).values, dense, rtol=1e-9)
+
     def test_k_out_of_range(self):
         with pytest.raises(SolverError):
             lowest_k(op_from_dense([[4.0]]), 2)
+
+    def test_singular_operator_is_solver_error(self):
+        with pytest.raises(SolverError):
+            lowest_k(op_from_dense(np.diag([0.0, 1.0, 2.0, 3.0])), 2)
+
+    def test_residual_check(self):
+        a = assemble_dirichlet_laplacian(random_mask(5, dims=(12, 12)))
+        with pytest.raises(SolverError):
+            lowest_k(a, 3, tol=0.0)
+
+    def test_truncated_cutoff(self):
+        # 5 of the 225 eigenvalues below 1e4 on the 1/16 square: counting
+        # and the heat tail must not treat the rest as absent
+        mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
+        a = assemble_dirichlet_laplacian(mask)
+        low = lowest_k(a, 5)
+        assert low.cutoff == low.values[-1]
+        assert inertia_count(a, 1e4) == 225
+        with pytest.raises(ValueError):
+            counting(low, 1e4)
+        samples = heat_trace(low, [1e-3, 1e-2], 2, mask.volume())
+        assert np.all(samples.tail_bounds > 0)
+        assert not samples.trusted.any()
+        assert lowest_k(a, a.n_rows).cutoff == math.inf
 
 
 class TestInertiaCount:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcheck.discretization import assemble_dirichlet_laplacian
-from weylcheck.eigensolve import Spectrum, dense_spectrum
+from weylcheck.discretization import SymmetricOperator, assemble_dirichlet_laplacian
+from weylcheck.eigensolve import ShiftOnEigenvalueError, Spectrum, dense_spectrum
 from weylcheck.geometry import (
     DomainSpec,
     GeometryError,
@@ -21,6 +22,7 @@ from weylcheck.spectral import (
     cube_lower_bound,
     check_ratio_ordering,
     eigenvalue_avoiding_grid,
+    robust_count,
     solve_all_problems,
     split_separated,
     superadditivity_check,
@@ -71,6 +73,21 @@ class TestCounting:
         s = Spectrum("dirichlet", values)
         for v in np.unique(s.values):
             assert counting(s, v) == int((s.values < v).sum())
+
+
+class TestRobustCount:
+    def test_retry_does_not_count_eigenvalue_at_threshold(self):
+        # the strict count below 2 is 2; the shift and the downward retry
+        # both land on eigenvalues, and the upward retry alone counts 3
+        op = SymmetricOperator(
+            sp.csr_matrix(np.diag([1.0, 2 * (1 - 1e-9), 2.0, 3.0])))
+        with pytest.raises(ShiftOnEigenvalueError):
+            robust_count(op, 2.0)
+
+    def test_retries_disagree(self):
+        op = SymmetricOperator(sp.csr_matrix(np.diag([1.0, 2.0, 3.0])))
+        with pytest.raises(ShiftOnEigenvalueError):
+            robust_count(op, 2.0)
 
 
 class TestLambdaGrid:
@@ -177,8 +194,6 @@ class TestCubeLowerBound:
     def test_bounded_by_fine_grid_inertia(self):
         # the certified bound must sit below the discrete count of the
         # same domain on a fine grid, inside the mutual trust region
-        from weylcheck.spectral import robust_count
-
         spec = DomainSpec.rectangle(1, 1)
         cover = cube_cover(spec, math.sqrt(2) / 4)
         mask = rasterize(spec, 1 / 64)
