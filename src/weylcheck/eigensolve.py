@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .discretization import OperatorPencil, SymmetricOperator
@@ -111,31 +112,90 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None,
     return Spectrum("buckling", w, cutoff=cutoff, source="grid")
 
 
+def _complete_multiplicities(lu, w, v, k, tol, rng):
+    """Add the copies of repeated eigenvalues that ARPACK missed.
+
+    A Krylov sequence sees each eigenspace once, so a copy that roundoff
+    never brought into it is absent, and a larger value takes its place.
+    Each probe runs ARPACK on the inverse restricted to the orthogonal
+    complement of the found vectors, from a fresh random vector (the first
+    start vector has no component along a missed copy); a value at most
+    the k-th one (with ties at relative 10 * tol) joins the spectrum, and
+    the probing stops at the first value above it. A Ritz pair of the
+    inverse at ARPACK's relative tolerance tol / 10 has a residual in A
+    below tol * |A| / 10, inside the check that lowest_k applies; eight
+    Lanczos vectors keep the probe's memory to a few copies of v.
+    """
+    n = v.shape[0]
+    while v.shape[1] < n:
+        def deflated_solve(x, v=v):
+            y = lu.solve(x - v @ (v.T @ x))
+            return y - v @ (v.T @ y)
+
+        nu, x = spla.eigsh(spla.LinearOperator((n, n), deflated_solve,
+                                               dtype=float),
+                           k=1, which="LA", v0=rng.standard_normal(n),
+                           ncv=min(n, 8), tol=tol / 10)
+        if nu[0] * w[k - 1] * (1 + 10 * tol) < 1.0:
+            break
+        w = np.append(w, 1.0 / nu[0])
+        order = np.argsort(w)
+        w, v = w[order], np.hstack([v, x])[:, order]
+        keep = w <= w[k - 1] * (1 + 10 * tol)
+        w, v = w[keep], v[:, keep]
+    return w[:k], v[:, :k]
+
+
+def _block_lowest(m: sp.csr_matrix, k: int, tol: float):
+    """Lowest k eigenpairs of one connected block: ARPACK's shift-invert
+    Lanczos at zero from a fixed-seed random vector, completed by
+    _complete_multiplicities; dense for k = n, which ARPACK cannot do."""
+    n = m.shape[0]
+    if k == n:
+        return la.eigh(m.toarray())
+    rng = np.random.default_rng(0)
+    lu = spla.splu(m.tocsc())
+    w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
+                      OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
+                      tol=tol / 10)
+    return _complete_multiplicities(lu, w, v, k, tol, rng)
+
+
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
-    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``), started from
-    a fixed-seed random vector so that reruns are bit-identical; k = n,
-    which ARPACK cannot do, takes the dense path. Every returned pair must
-    satisfy ||A v - w v|| <= tol * |A|, or SolverError is raised. A
-    truncated spectrum is cut off at its largest value."""
+    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``), run on each
+    connected block of the matrix (``scipy.sparse.csgraph``) and merged, so
+    that copies of a block's spectrum in disjoint pieces of the domain are
+    exact; within a block, missed copies of repeated eigenvalues are added
+    by deflated probes. Start vectors are fixed-seed random, so reruns are
+    bit-identical. Every returned pair must satisfy ||A v - w v|| <= tol *
+    |A|, or SolverError is raised. A truncated spectrum is cut off at its
+    largest value, below which every eigenvalue is returned."""
     n = op.n_rows
     if not 1 <= k <= n:
         raise SolverError(f"k={k} out of range for n={n}")
+    n_blocks, labels = csgraph.connected_components(op.matrix, directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    values, resid = [], []
     try:
-        if k == n:
-            w, v = la.eigh(op.dense())
-        else:
-            v0 = np.random.default_rng(0).standard_normal(n)
-            w, v = spla.eigsh(op.matrix.tocsc(), k=k, sigma=0, which="LM",
-                              v0=v0)
+        for idx in blocks:
+            m = op.matrix if n_blocks == 1 else op.matrix[idx][:, idx]
+            w, v = _block_lowest(m, min(k, idx.size), tol)
+            values.append(w)
+            resid.append(np.linalg.norm(m @ v - v * w, axis=0))
     except (RuntimeError, la.LinAlgError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    resid = np.linalg.norm(op.matrix @ v - v * w, axis=0)
+    resid = np.concatenate(resid)
     if np.any(resid > tol * max(op.norm_estimate(), 1.0)):
         raise SolverError(
             f"residual {resid.max():.3e} exceeds {tol:g}*|A| for some pair"
         )
-    cutoff = math.inf if k == n else float(w.max())
+    w = np.sort(np.concatenate(values))[:k]
+    if w[0] <= 0:
+        raise SolverError(f"operator is not positive definite: eigenvalue "
+                          f"{w[0]:.3e}")
+    cutoff = math.inf if k == n else float(w[-1])
     return Spectrum("dirichlet", w, cutoff=cutoff, source="grid")
 
 
