@@ -26,14 +26,22 @@ class ConfigError(ValueError):
     pass
 
 
+def finite(text: str) -> float:
+    """argparse type for a finite float: NaN and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 def _parse_lambdas(text: str):
-    if text.startswith("auto:"):
-        try:
-            return ("auto", int(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"bad --lambdas value {text!r}") from exc
     try:
-        return ("list", [float(x) for x in text.split(",")])
+        if text.startswith("auto:"):
+            count = int(text.split(":", 1)[1])
+            if count < 1:
+                raise ValueError
+            return ("auto", count)
+        return ("list", [finite(x) for x in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad --lambdas value {text!r}") from exc
 
@@ -99,23 +107,20 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def cmd_solve(args) -> int:
     out = _out_dir(args)
-    spec = _load_domain(args.domain)
-    mask = geometry.rasterize(spec, args.h)
-    a = discretization.assemble_dirichlet_laplacian(mask)
+    mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    forms = spectral.MaskForms(mask)
     if args.problem == "dirichlet":
-        result = eigensolve.lowest_k(a, args.k, tol=args.tol)
+        result = eigensolve.lowest_k(forms.a, args.k, tol=args.tol)
     elif args.problem == "bilaplacian":
-        b = discretization.assemble_clamped_bilaplacian(mask)
-        omega_sq = eigensolve.lowest_k(b, args.k, tol=args.tol)
+        omega_sq = eigensolve.lowest_k(forms.b, args.k, tol=args.tol)
         result = eigensolve.Spectrum(
             "bilaplacian_root", np.sqrt(omega_sq.values),
             cutoff=math.sqrt(omega_sq.cutoff), source="grid"
         )
     else:
-        pencil = discretization.assemble_buckling_pencil(mask)
         result = eigensolve.generalized_spectrum(
-            pencil, args.k, dense_limit=args.dense_limit
-        )
+            discretization.assemble_buckling_pencil(mask), args.k,
+            dense_limit=args.dense_limit)
     result.dump(out / "spectrum.csv", h=args.h)
     _write_summary(out, "solve",
                    {"domain": args.domain, "h": args.h, "k": args.k,
@@ -127,18 +132,9 @@ def cmd_solve(args) -> int:
 
 def cmd_count(args) -> int:
     out = _out_dir(args)
-    spec = _load_domain(args.domain)
-    mask = geometry.rasterize(spec, args.h)
-    a = discretization.assemble_dirichlet_laplacian(mask)
-    if args.problem == "dirichlet":
-        target, theta = a, args.lam
-    elif args.problem == "bilaplacian":
-        target = discretization.assemble_clamped_bilaplacian(mask)
-        theta = args.lam**2
-    else:
-        target = discretization.assemble_buckling_pencil(mask)
-        theta = args.lam
-    count = spectral.robust_count(target, theta)
+    mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    problem = "bilaplacian_root" if args.problem == "bilaplacian" else args.problem
+    count = spectral.MaskForms(mask).count(problem, args.lam)
     _write_summary(out, "count",
                    {"domain": args.domain, "h": args.h, "lam": args.lam,
                     "problem": args.problem},
@@ -148,18 +144,14 @@ def cmd_count(args) -> int:
 
 def cmd_chain(args) -> int:
     out = _out_dir(args)
-    spec = _load_domain(args.domain)
-    mask = geometry.rasterize(spec, args.h)
+    mask = geometry.rasterize(_load_domain(args.domain), args.h)
     mode, payload = _parse_lambdas(args.lambdas)
-    if mode == "auto":
+    if mode == "auto" or args.method == "dense":
         spectra = spectral.solve_all_problems(mask, args.dense_limit)
-        lam_grid = spectral.eigenvalue_avoiding_grid(
-            spectra.merged_values(), payload
-        )
-    else:
-        lam_grid = np.array(payload)
-    report = spectral.verify_chain(mask, lam_grid, method=args.method,
-                                   dense_limit=args.dense_limit)
+    lam_grid = (spectral.eigenvalue_avoiding_grid(spectra.merged_values(), payload)
+                if mode == "auto" else np.array(payload))
+    source = spectral.MaskForms(mask) if args.method == "inertia" else spectra
+    report = spectral.verify_chain(source, lam_grid)
     _write_csv(out / "chain.csv", "lambda,n_buckling,n_bilaplacian,n_dirichlet,status",
                [(float(l), int(b), int(bl), int(d),
                  "PASS" if b <= bl <= d else "FAIL")
@@ -174,22 +166,24 @@ def cmd_chain(args) -> int:
 
 def cmd_super(args) -> int:
     out = _out_dir(args)
-    spec = _load_domain(args.domain)
-    mask = geometry.rasterize(spec, args.h)
+    mask = geometry.rasterize(_load_domain(args.domain), args.h)
     parts = spectral.split_separated(mask, seed=args.seed)
+    whole = spectral.solve_all_problems(mask, args.dense_limit)
     if args.lam is not None:
         lam = args.lam
     else:
-        spectra = spectral.solve_all_problems(mask, args.dense_limit)
-        grid = spectral.eigenvalue_avoiding_grid(spectra.merged_values(), 999)
+        grid = spectral.eigenvalue_avoiding_grid(whole.merged_values(), 999)
         lam = float(grid[len(grid) // 2])
-    report = spectral.superadditivity_check(mask, parts, lam,
-                                            dense_limit=args.dense_limit)
+    report = spectral.superadditivity_check(
+        whole,
+        [spectral.solve_all_problems(p, args.dense_limit)
+         for p in parts if p.n_nodes],
+        lam,
+    )
+    sums = {p: sum(q[p] for q in report.parts) for p in report.whole}
     _write_csv(out / "superadditivity.csv", "problem,whole,parts_sum,status",
-               [(p, report.whole[p], sum(q[p] for q in report.parts),
-                 "PASS" if report.whole[p] >= sum(q[p] for q in report.parts)
-                 else "FAIL")
-                for p in sorted(report.whole)])
+               [(p, n, sums[p], "PASS" if n >= sums[p] else "FAIL")
+                for p, n in sorted(report.whole.items())])
     _write_summary(out, "super",
                    {"domain": args.domain, "h": args.h, "lam": lam,
                     "seed": args.seed},
@@ -308,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="grid eigenvalues of one problem")
     common(p, dense_limit=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=finite, required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
                    default="dirichlet")
@@ -318,15 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count",
                        help="exact count below a threshold by sparse inertia")
     common(p)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
+    p.add_argument("--h", type=finite, required=True)
+    p.add_argument("--lam", type=finite, required=True)
     p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
                    default="dirichlet")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("chain", help="verify N_b <= N_bl <= N_D")
     common(p, dense_limit=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lambdas", default="auto:50",
                    help="'auto:K' for K eigenvalue-avoiding midpoints, or a comma list")
     p.add_argument("--method", choices=("dense", "inertia"), default="dense")
@@ -334,28 +328,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("super", help="verify counting superadditivity on a split")
     common(p, dense_limit=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--h", type=finite, required=True)
+    p.add_argument("--lam", type=finite, default=None,
                    help="threshold; default: median eigenvalue-avoiding midpoint")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_super)
 
     p = sub.add_parser("cover", help="cube cover and its counting lower bound")
     common(p)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--eta", type=finite, required=True)
+    p.add_argument("--lam", type=finite, default=None)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("heat", help="heat trace and the free-kernel bound")
     common(p)
-    p.add_argument("--lam-max", type=float, required=True)
+    p.add_argument("--lam-max", type=finite, required=True)
     p.add_argument("--t-grid", default="log:1e-3:1e-2:12",
                    help="'log:lo:hi:n' or a comma list")
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("karamata", help="tauberian fit of the Weyl coefficient")
     common(p)
-    p.add_argument("--lam-max", type=float, required=True)
+    p.add_argument("--lam-max", type=finite, required=True)
     p.add_argument("--t-grid", default="log:1e-3:1e-2:12")
     p.set_defaults(func=cmd_karamata)
 
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rectangle", type=float, nargs=2, metavar=("A", "B"))
     p.add_argument("--interval", type=float)
     p.add_argument("--disk", type=float)
-    p.add_argument("--lam-max", type=float, required=True)
+    p.add_argument("--lam-max", type=finite, required=True)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -55,14 +55,6 @@ class SymmetricOperator:
         """Row-sum (infinity) norm; equals the 2-norm bound for symmetric."""
         return float(np.abs(self.matrix).sum(axis=1).max())
 
-    def dump_coordinate(self, path) -> None:
-        """Text coordinate dump: '%%SymmetricSparse n nnz' then row col value."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"%%SymmetricSparse {self.n_rows} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {float(v)!r}\n")
-
 
 @dataclass(frozen=True)
 class OperatorPencil:

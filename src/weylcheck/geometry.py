@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -413,21 +414,39 @@ class CubeCover:
     covered_volume: float
 
 
+def _cube_edges(lo: float, hi: float, side: float):
+    """For the lattice cubes [k*side, (k+1)*side] spanning [lo, hi] along one
+    axis: the nominal corners fl(k*side), and float edges that enclose each
+    real cube. An edge is fl(k*side), moved one ulp outward only where the
+    product is inexact; the sign of the exact error term of Dekker's
+    TwoProduct says which way it was rounded."""
+    k = np.arange(math.floor(lo / side), math.ceil(hi / side) + 2, dtype=float)
+    p = k * side
+    # Veltkamp split of side into 26-bit halves; k has fewer bits than that
+    c = 134217729.0 * side
+    side_hi = c - (c - side)
+    err = (k * side_hi - p) + k * (side - side_hi)  # exactly k*side - p
+    below = np.where(err < 0, np.nextafter(p, -np.inf), p)
+    above = np.where(err > 0, np.nextafter(p, np.inf), p)
+    return p[:-1], below[:-1], above[1:]
+
+
 def cube_cover(spec: DomainSpec, eta: float) -> CubeCover:
-    """Cubes from the single lattice of side eta/sqrt(2) anchored at the
-    origin whose open interiors lie inside the domain, each tested exactly
-    by ``spec.contains_box``."""
+    """Cubes [i*side, (i+1)*side] x [j*side, (j+1)*side] of the single
+    lattice of side eta/sqrt(2) anchored at the origin whose open interiors
+    lie inside the domain, each tested exactly by ``spec.contains_box`` on
+    float edges that enclose the real cube."""
     if eta <= 0:
         raise GeometryError("eta must be positive")
     if spec.dimension != 2:
         raise GeometryError("cube covers are 2-D only")
     side = eta / math.sqrt(2.0)
-    (xmin, ymin), (xmax, ymax) = spec.bounding_box()
-    x0 = side * np.arange(math.floor(xmin / side), math.ceil(xmax / side) + 1)
-    y0 = side * np.arange(math.floor(ymin / side), math.ceil(ymax / side) + 1)
-    x0, y0 = np.meshgrid(x0, y0, indexing="ij")
-    inside = spec.contains_box(x0, y0, x0 + side, y0 + side)
-    corners = np.stack([x0[inside], y0[inside]], axis=1)
+    (x, x0, x1), (y, y0, y1) = (_cube_edges(lo, hi, side)
+                                for lo, hi in zip(*spec.bounding_box()))
+    grid = partial(np.meshgrid, indexing="ij")
+    inside = spec.contains_box(*grid(x0, y0), *grid(x1, y1))
+    x, y = grid(x, y)
+    corners = np.stack([x[inside], y[inside]], axis=1)
     return CubeCover(eta, side, corners, len(corners) * side * side)
 
 

@@ -7,20 +7,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .discretization import (
-    assemble_buckling_pencil,
     assemble_clamped_bilaplacian,
     assemble_dirichlet_laplacian,
 )
 from .eigensolve import (
     DENSE_LIMIT,
+    PROBLEMS,
     OperatorPencil,
     ShiftOnEigenvalueError,
     Spectrum,
-    SymmetricOperator,
     dense_spectrum,
     generalized_spectrum,
     inertia_count,
@@ -41,7 +41,10 @@ def weyl_constant(n: int, volume: float) -> float:
 
 
 def counting(spectrum: Spectrum, lam: float) -> int:
-    """Strict count #{j : value_j < lam}; refuses lam above the cutoff."""
+    """Strict count #{j : value_j < lam}; refuses NaN and lam above the
+    cutoff."""
+    if math.isnan(lam):
+        raise ValueError("lambda is NaN")
     if lam > spectrum.cutoff:
         raise ValueError(
             f"lambda={lam} exceeds spectrum cutoff {spectrum.cutoff}"
@@ -63,27 +66,23 @@ def robust_count(target, lam: float) -> int:
         return below
 
 
-# -- triple of spectra on one mask ----------------------------------------
+# -- counting sources: the three problems on one mask ---------------------
 
 
 @dataclass(frozen=True)
 class MaskSpectra:
-    """Dense spectra of the three problems on one mask."""
+    """Dense spectra of the three problems on one mask; counts in them."""
 
+    mask: GridMask
     dirichlet: Spectrum
     buckling: Spectrum
     bilaplacian_root: Spectrum
 
+    def count(self, problem: str, lam: float) -> int:
+        return counting(getattr(self, problem), lam)
+
     def merged_values(self) -> np.ndarray:
-        return np.sort(
-            np.concatenate(
-                [
-                    self.dirichlet.values,
-                    self.buckling.values,
-                    self.bilaplacian_root.values,
-                ]
-            )
-        )
+        return np.sort(np.concatenate([getattr(self, p).values for p in PROBLEMS]))
 
 
 def solve_all_problems(mask: GridMask,
@@ -96,7 +95,33 @@ def solve_all_problems(mask: GridMask,
     omega = Spectrum("bilaplacian_root", np.sqrt(omega_sq.values),
                      source="grid")
     mu = generalized_spectrum(pencil, dense_limit=dense_limit)
-    return MaskSpectra(lam, mu, omega)
+    return MaskSpectra(mask, lam, mu, omega)
+
+
+class MaskForms:
+    """Exact inertia counts of the three problems on one mask, at any size:
+    A at lambda, B at lambda^2 (the bilaplacian roots) and the pencil (B, A)
+    at lambda. Each form is assembled the first time a count needs it."""
+
+    def __init__(self, mask: GridMask):
+        self.mask = mask
+
+    @cached_property
+    def a(self):
+        return assemble_dirichlet_laplacian(self.mask)
+
+    @cached_property
+    def b(self):
+        return assemble_clamped_bilaplacian(self.mask)
+
+    def count(self, problem: str, lam: float) -> int:
+        if problem == "dirichlet":
+            return robust_count(self.a, lam)
+        if problem == "bilaplacian_root":
+            return robust_count(self.b, lam * lam)
+        if problem == "buckling":
+            return robust_count(OperatorPencil(self.b, self.a), lam)
+        raise ValueError(f"unknown problem {problem!r}")
 
 
 def eigenvalue_avoiding_grid(values: np.ndarray, count: int) -> np.ndarray:
@@ -133,37 +158,18 @@ class ChainReport:
         return list(zip(self.lams, self.n_b, self.n_bl, self.n_d))
 
 
-def verify_chain(mask: GridMask, lam_grid, method: str = "dense",
-                 dense_limit: int = DENSE_LIMIT) -> ChainReport:
-    """Check N_b <= N_bl <= N_D at every lambda, with exact integer counts.
-
-    method 'dense' counts in full spectra, within ``dense_limit`` nodes;
-    'inertia' counts by sparse slab elimination at any size (B - lambda^2 I
-    for the bilaplacian roots, pencil inertia for buckling). A violation
+def verify_chain(source, lam_grid) -> ChainReport:
+    """Check N_b <= N_bl <= N_D at every lambda, with the exact integer
+    counts of one source (``MaskSpectra`` or ``MaskForms``). A violation
     raises: the chain is a theorem of the discretization.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
-    if method == "dense":
-        spectra = solve_all_problems(mask, dense_limit)
-        n_d = np.array([counting(spectra.dirichlet, l) for l in lam_grid])
-        n_bl = np.array([counting(spectra.bilaplacian_root, l) for l in lam_grid])
-        n_b = np.array([counting(spectra.buckling, l) for l in lam_grid])
-    elif method == "inertia":
-        a = assemble_dirichlet_laplacian(mask)
-        b = assemble_clamped_bilaplacian(mask)
-        pencil = OperatorPencil(b, a)
-        n_d = np.array([robust_count(a, l) for l in lam_grid])
-        n_bl = np.array([robust_count(b, l * l) for l in lam_grid])
-        n_b = np.array([robust_count(pencil, l) for l in lam_grid])
-    else:
-        raise ValueError(f"unknown counting method {method!r}")
+    n_d, n_bl, n_b = (np.array([source.count(p, l) for l in lam_grid])
+                      for p in ("dirichlet", "bilaplacian_root", "buckling"))
     report = ChainReport(lam_grid, n_b, n_bl, n_d)
     if not report.ok:
-        bad = [
-            (l, int(b_), int(bl), int(d))
-            for l, b_, bl, d in report.rows()
-            if not (b_ <= bl <= d)
-        ]
+        bad = [(l, int(b_), int(bl), int(d))
+               for l, b_, bl, d in report.rows() if not b_ <= bl <= d]
         raise InvariantViolation(f"counting chain violated at {bad}")
     return report
 
@@ -173,12 +179,8 @@ def verify_chain(mask: GridMask, lam_grid, method: str = "dense",
 
 def _dilate(interior: np.ndarray) -> np.ndarray:
     """One step of 4-neighbor dilation (the reach of the Laplacian factor)."""
-    out = interior.copy()
-    out[1:, :] |= interior[:-1, :]
-    out[:-1, :] |= interior[1:, :]
-    out[:, 1:] |= interior[:, :-1]
-    out[:, :-1] |= interior[:, 1:]
-    return out
+    p = np.pad(interior, 1)
+    return p[1:-1, 1:-1] | p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2] | p[1:-1, 2:]
 
 
 def check_separated(parts: list[GridMask]) -> None:
@@ -209,28 +211,20 @@ class SuperadditivityReport:
         )
 
 
-def superadditivity_check(whole: GridMask, parts: list[GridMask], lam: float,
-                          dense_limit: int = DENSE_LIMIT) -> SuperadditivityReport:
-    """Assert N(lam, whole) >= sum of N(lam, part) for all three problems."""
-    for k, part in enumerate(parts):
-        if not part.is_submask_of(whole):
+def superadditivity_check(whole, parts: list, lam: float) -> SuperadditivityReport:
+    """Assert N(lam, whole) >= sum of N(lam, part) for all three problems;
+    ``whole`` and each part are counting sources (``MaskSpectra`` or
+    ``MaskForms``) of their masks. Empty parts count nothing."""
+    masks = [part.mask for part in parts]
+    for k, part in enumerate(masks):
+        if not part.is_submask_of(whole.mask):
             raise GeometryError(f"part {k} is not a submask of the whole")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if np.any(parts[i].interior & parts[j].interior):
-                raise GeometryError(f"parts {i} and {j} overlap")
-    check_separated(parts)
-
-    def triple(mask: GridMask) -> dict[str, int]:
-        s = solve_all_problems(mask, dense_limit)
-        return {
-            "dirichlet": counting(s.dirichlet, lam),
-            "buckling": counting(s.buckling, lam),
-            "bilaplacian_root": counting(s.bilaplacian_root, lam),
-        }
-
+    check_separated(masks)  # overlapping parts fail it too
     report = SuperadditivityReport(
-        lam, triple(whole), [triple(p) for p in parts if p.n_nodes]
+        lam,
+        {p: whole.count(p, lam) for p in PROBLEMS},
+        [{p: part.count(p, lam) for p in PROBLEMS}
+         for part in parts if part.mask.n_nodes],
     )
     if not report.ok:
         raise InvariantViolation(

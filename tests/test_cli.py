@@ -1,11 +1,15 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weylcheck import spectral
 from weylcheck.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -17,6 +21,14 @@ def square_json(tmp_path):
 
 def read_summary(out):
     return json.loads((Path(out) / "summary.json").read_text())
+
+
+def exit_code(argv):
+    """Exit status of one CLI run, argparse errors (SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_oracle_rectangle(tmp_path):
@@ -177,3 +189,75 @@ def test_rerun_byte_identical(square_json, tmp_path):
         assert (out1 / table).read_bytes() == (out2 / table).read_bytes()
         assert ((out1 / "summary.json").read_bytes()
                 == (out2 / "summary.json").read_bytes())
+
+
+def test_each_mask_solved_once(square_json, tmp_path, monkeypatch):
+    # one triple of dense spectra (A, B and the pencil) per mask: chain
+    # counts in the spectra its thresholds came from, and super solves the
+    # whole mask once for its threshold and its counts
+    calls = []
+    for name in ("dense_spectrum", "generalized_spectrum"):
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, counted)
+
+    def triples():
+        n = calls.count("generalized_spectrum")
+        assert calls.count("dense_spectrum") == 2 * n
+        calls.clear()
+        return n
+
+    assert main(["chain", "--domain", square_json, "--h", "0.1",
+                 "--lambdas", "auto:5", "-o", str(tmp_path / "chain")]) == 0
+    assert triples() == 1
+    # seed 0 splits the mask into two parts, seed 3 leaves one part empty
+    for seed, nonempty in ((0, 2), (3, 1)):
+        out = tmp_path / f"super{seed}"
+        assert main(["super", "--domain", square_json, "--h", "0.1",
+                     "--seed", str(seed), "-o", str(out)]) == 0
+        part_nodes = read_summary(out)["results"]["part_nodes"]
+        assert sum(n > 0 for n in part_nodes) == nonempty
+        assert triples() == 1 + nonempty
+
+
+@pytest.mark.parametrize("args", [
+    ["chain", "--lambdas", "nan,50"],
+    ["chain", "--lambdas", "auto:0"],
+    ["chain", "--lambdas", "auto:-3"],
+    ["super", "--lam", "nan"],
+    ["count", "--lam", "nan"],
+    ["count", "--lam", "inf"],
+])
+def test_bad_threshold_is_config_error(square_json, tmp_path, args):
+    command, *rest = args
+    out = tmp_path / "o"
+    assert exit_code([command, "--domain", square_json, "--h", "0.1", *rest,
+                      "-o", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
+def test_bad_eta_is_config_error(square_json, tmp_path):
+    assert exit_code(["cover", "--domain", square_json, "--eta", "nan",
+                      "-o", str(tmp_path / "o")]) == 2
+
+
+def test_readme_command_lines(tmp_path):
+    # every example of README's "Command line" block runs and exits 0
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("weylcheck ")]
+    assert lines
+    domains = {"square.json": '{"kind": "rectangle", "a": 1.0, "b": 1.0}',
+               "disk.json": '{"kind": "disk", "r": 1.0}'}
+    for name, text in domains.items():
+        (tmp_path / name).write_text(text)
+    for k, line in enumerate(lines):
+        argv = [str(tmp_path / a) if a in domains
+                else str(tmp_path / f"out{k}") if a == "out/" else a
+                for a in shlex.split(line)[1:]]
+        assert main(argv) == 0, line

@@ -162,18 +162,3 @@ def test_dirichlet_convergence_order():
         errors[h] = abs(w[0] - exact)
     ratio = errors[1 / 32] / errors[1 / 64]
     assert 3.5 <= ratio <= 4.5
-
-
-def test_operator_dump(tmp_path):
-    op = assemble_dirichlet_laplacian(random_mask(2, dims=(4, 4)))
-    path = tmp_path / "op.txt"
-    op.dump_coordinate(path)
-    lines = path.read_text().splitlines()
-    n, nnz = (int(x) for x in lines[0].split()[1:])
-    assert n == op.n_rows and nnz == len(lines) - 1
-    # reassemble and compare
-    rebuilt = np.zeros((n, n))
-    for ln in lines[1:]:
-        r, c, v = ln.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert rebuilt == pytest.approx(op.dense())

@@ -15,7 +15,7 @@ from weylcheck.discretization import (
 )
 from weylcheck.geometry import DomainSpec, rasterize
 from weylcheck.heat import heat_trace
-from weylcheck.spectral import counting, verify_chain
+from weylcheck.spectral import MaskForms, counting, verify_chain
 from weylcheck.eigensolve import (
     ShiftOnEigenvalueError,
     SolverError,
@@ -293,7 +293,7 @@ class TestInertiaCount:
         exact = grid_rectangle_spectrum(2.0, 1.0, h)
         for theta in (300.0, 3000.0, 30000.0):
             assert inertia_count(a, theta) == int((exact < theta).sum())
-        report = verify_chain(mask, [100.0, 1000.0, 3000.0], method="inertia")
+        report = verify_chain(MaskForms(mask), [100.0, 1000.0, 3000.0])
         assert report.ok
         assert list(report.n_d) == [int((exact < l).sum())
                                     for l in (100.0, 1000.0, 3000.0)]

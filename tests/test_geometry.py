@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +276,29 @@ class TestCubeCover:
             py = np.clip(cj, y0[..., None] + eps, y1[..., None] - eps)
             brute = spec.contains(px, py).all(axis=-1)
             assert np.array_equal(spec.contains_box(x0, y0, x1, y1), brute)
+
+    def test_real_cubes_do_not_overhang(self):
+        # side fl(0.05) is slightly above 1/20, so the 20th real cube
+        # [19 * side, 20 * side] ends past x = 1 in each row and column:
+        # 39 of the 400 float-rounded cubes overhang, 19 x 19 remain
+        cover = cube_cover(DomainSpec.rectangle(1, 1), 0.05 * math.sqrt(2))
+        assert len(cover.corners) == 361
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.7, 1.3)])
+    @pytest.mark.parametrize("eta", [0.05 * math.sqrt(2), 0.1 * math.sqrt(2),
+                                     0.1, 0.07, math.sqrt(2) / 4,
+                                     0.3 * math.sqrt(2)])
+    def test_real_cubes_inside_rectangle(self, a, b, eta):
+        # every kept cube [i s, (i+1) s] x [j s, (j+1) s] lies in the closed
+        # rectangle in exact rational arithmetic
+        cover = cube_cover(DomainSpec.rectangle(a, b), eta)
+        side = Fraction(cover.side)
+        assert len(cover.corners)
+        for x0, y0 in cover.corners:
+            i, j = round(x0 / cover.side), round(y0 / cover.side)
+            assert (x0, y0) == (i * cover.side, j * cover.side)
+            assert 0 <= i * side and (i + 1) * side <= Fraction(a)
+            assert 0 <= j * side and (j + 1) * side <= Fraction(b)
 
     def test_cubes_disjoint_lattice(self):
         cover = cube_cover(DomainSpec.disk(1), 0.3 * math.sqrt(2))

@@ -18,6 +18,7 @@ from weylcheck.geometry import (
 from weylcheck.oracles import rectangle_spectrum
 from weylcheck.spectral import (
     InvariantViolation,
+    MaskForms,
     counting,
     cube_lower_bound,
     check_ratio_ordering,
@@ -67,6 +68,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             counting(s, 150.0)
 
+    def test_nan_rejected(self):
+        # NaN compares false with every value, so it would count as past
+        # the whole spectrum
+        with pytest.raises(ValueError):
+            counting(rectangle_spectrum(1, 1, 100), math.nan)
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=30))
     def test_strict_at_every_eigenvalue(self, values):
@@ -107,20 +114,29 @@ class TestLambdaGrid:
 class TestChain:
     def test_single_node_explicit(self):
         # lambda_D = 4, omega = sqrt(20), mu = 5
-        report = verify_chain(SINGLE, [4.6])
+        report = verify_chain(solve_all_problems(SINGLE), [4.6])
         assert report.rows() == [(4.6, 0, 1, 1)]
 
     def test_below_all_spectra(self):
-        report = verify_chain(SINGLE, [1.0])
+        report = verify_chain(solve_all_problems(SINGLE), [1.0])
         assert report.rows() == [(1.0, 0, 0, 0)]
 
     def test_inertia_matches_dense(self):
         mask = random_mask(17, dims=(8, 8))
         spectra = solve_all_problems(mask)
         grid = eigenvalue_avoiding_grid(spectra.merged_values(), 12)
-        dense = verify_chain(mask, grid, method="dense")
-        fact = verify_chain(mask, grid, method="inertia")
+        dense = verify_chain(spectra, grid)
+        fact = verify_chain(MaskForms(mask), grid)
         assert dense.rows() == fact.rows()
+        # superadditivity on a separated split, by both sources
+        parts = split_separated(mask, 1)
+        assert all(p.n_nodes for p in parts)
+        lam = float(grid[len(grid) // 2])
+        by_dense = superadditivity_check(
+            spectra, [solve_all_problems(p) for p in parts], lam)
+        by_inertia = superadditivity_check(
+            MaskForms(mask), [MaskForms(p) for p in parts], lam)
+        assert by_dense == by_inertia
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -128,14 +144,16 @@ class TestChain:
         mask = random_mask(seed, dims=(10, 10))
         spectra = solve_all_problems(mask)
         grid = eigenvalue_avoiding_grid(spectra.merged_values(), 25)
-        report = verify_chain(mask, grid)
+        report = verify_chain(spectra, grid)
         assert report.ok
 
 
 class TestSuperadditivity:
     def test_parts_equal_whole(self):
         mask = random_mask(3, dims=(8, 8))
-        report = superadditivity_check(mask, [mask.restrict(mask.interior)], 50.0)
+        report = superadditivity_check(
+            solve_all_problems(mask),
+            [solve_all_problems(mask.restrict(mask.interior))], 50.0)
         assert report.ok
         assert report.whole == report.parts[0]
 
@@ -148,7 +166,9 @@ class TestSuperadditivity:
         whole = GridMask(1.0, (0, 0), (8, 1), interior)
         left = whole.restrict(np.arange(8)[:, None] < 3)
         right = whole.restrict(np.arange(8)[:, None] >= 5)
-        report = superadditivity_check(whole, [left, right], 6.5)
+        report = superadditivity_check(
+            solve_all_problems(whole),
+            [solve_all_problems(left), solve_all_problems(right)], 6.5)
         for p in report.whole:
             assert report.whole[p] == sum(q[p] for q in report.parts)
 
@@ -156,7 +176,9 @@ class TestSuperadditivity:
         for seed in range(10):
             mask = random_mask(seed, dims=(14, 14))
             parts = split_separated(mask, seed)
-            report = superadditivity_check(mask, parts, 40.0)
+            report = superadditivity_check(
+                solve_all_problems(mask),
+                [solve_all_problems(p) for p in parts if p.n_nodes], 40.0)
             assert report.ok
 
     def test_nonsubmask_rejected(self):
@@ -165,7 +187,7 @@ class TestSuperadditivity:
         if other.is_submask_of(mask):
             pytest.skip("accidentally a submask")
         with pytest.raises(GeometryError):
-            superadditivity_check(mask, [other], 10.0)
+            superadditivity_check(MaskForms(mask), [MaskForms(other)], 10.0)
 
     def test_adjacent_parts_rejected(self):
         interior = np.ones((4, 1), dtype=bool)
@@ -173,7 +195,8 @@ class TestSuperadditivity:
         left = whole.restrict(np.arange(4)[:, None] < 2)
         right = whole.restrict(np.arange(4)[:, None] >= 2)
         with pytest.raises(GeometryError):
-            superadditivity_check(whole, [left, right], 10.0)
+            superadditivity_check(MaskForms(whole),
+                                  [MaskForms(left), MaskForms(right)], 10.0)
 
 
 class TestCubeLowerBound:
