@@ -48,13 +48,13 @@ def _parse_lambdas(text: str):
 
 def _parse_tgrid(text: str) -> np.ndarray:
     parts = text.split(":")
-    if len(parts) == 4 and parts[0] == "log":
-        lo, hi, num = float(parts[1]), float(parts[2]), int(parts[3])
-        if lo <= 0 or hi <= lo or num < 2:
-            raise ConfigError(f"bad --t-grid range {text!r}")
-        return np.logspace(math.log10(lo), math.log10(hi), num)
     try:
-        return np.array([float(x) for x in text.split(",")])
+        if len(parts) == 4 and parts[0] == "log":
+            lo, hi, num = finite(parts[1]), finite(parts[2]), int(parts[3])
+            if lo <= 0 or hi <= lo or num < 2:
+                raise ValueError
+            return np.logspace(math.log10(lo), math.log10(hi), num)
+        return np.array([finite(x) for x in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad --t-grid value {text!r}") from exc
 
@@ -119,8 +119,7 @@ def cmd_solve(args) -> int:
         )
     else:
         result = eigensolve.generalized_spectrum(
-            discretization.assemble_buckling_pencil(mask), args.k,
-            dense_limit=args.dense_limit)
+            discretization.assemble_buckling_pencil(mask), args.k)
     result.dump(out / "spectrum.csv", h=args.h)
     _write_summary(out, "solve",
                    {"domain": args.domain, "h": args.h, "k": args.k,
@@ -147,7 +146,7 @@ def cmd_chain(args) -> int:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     mode, payload = _parse_lambdas(args.lambdas)
     if mode == "auto" or args.method == "dense":
-        spectra = spectral.solve_all_problems(mask, args.dense_limit)
+        spectra = spectral.solve_all_problems(mask)
     lam_grid = (spectral.eigenvalue_avoiding_grid(spectra.merged_values(), payload)
                 if mode == "auto" else np.array(payload))
     source = spectral.MaskForms(mask) if args.method == "inertia" else spectra
@@ -168,7 +167,7 @@ def cmd_super(args) -> int:
     out = _out_dir(args)
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     parts = spectral.split_separated(mask, seed=args.seed)
-    whole = spectral.solve_all_problems(mask, args.dense_limit)
+    whole = spectral.solve_all_problems(mask)
     if args.lam is not None:
         lam = args.lam
     else:
@@ -176,8 +175,7 @@ def cmd_super(args) -> int:
         lam = float(grid[len(grid) // 2])
     report = spectral.superadditivity_check(
         whole,
-        [spectral.solve_all_problems(p, args.dense_limit)
-         for p in parts if p.n_nodes],
+        [spectral.solve_all_problems(p) for p in parts if p.n_nodes],
         lam,
     )
     sums = {p: sum(q[p] for q in report.parts) for p in report.whole}
@@ -291,22 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, domain=True, dense_limit=False):
+    def common(p, domain=True):
         if domain:
             p.add_argument("--domain", required=True, help="domain JSON file")
         p.add_argument("-o", "--output-dir", default=".", help="output directory")
-        if dense_limit:
-            p.add_argument("--dense-limit", type=int, default=eigensolve.DENSE_LIMIT,
-                           help="largest node count for dense spectra; "
-                                "inertia counts are not bounded by it")
 
     p = sub.add_parser("solve", help="grid eigenvalues of one problem")
-    common(p, dense_limit=True)
+    common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
                    default="dirichlet")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=finite, default=1e-8)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("count",
@@ -319,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("chain", help="verify N_b <= N_bl <= N_D")
-    common(p, dense_limit=True)
+    common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lambdas", default="auto:50",
                    help="'auto:K' for K eigenvalue-avoiding midpoints, or a comma list")
@@ -327,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("super", help="verify counting superadditivity on a split")
-    common(p, dense_limit=True)
+    common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lam", type=finite, default=None,
                    help="threshold; default: median eigenvalue-avoiding midpoint")
@@ -355,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="closed-form spectrum to CSV")
     common(p, domain=False)
-    p.add_argument("--rectangle", type=float, nargs=2, metavar=("A", "B"))
-    p.add_argument("--interval", type=float)
-    p.add_argument("--disk", type=float)
+    p.add_argument("--rectangle", type=finite, nargs=2, metavar=("A", "B"))
+    p.add_argument("--interval", type=finite)
+    p.add_argument("--disk", type=finite)
     p.add_argument("--lam-max", type=finite, required=True)
     p.set_defaults(func=cmd_oracle)
 

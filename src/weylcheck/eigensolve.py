@@ -66,46 +66,42 @@ class Spectrum:
                 fh.write(f"{i},{float(v)!r}\n")
 
 
-def _check_dense(op: SymmetricOperator, limit: int):
-    if op.n_rows > limit:
+def _check_dense(op: SymmetricOperator):
+    if op.n_rows > DENSE_LIMIT:
         raise SolverError(
-            f"dense solve refused: n={op.n_rows} exceeds limit {limit}"
+            f"dense solve refused: n={op.n_rows} exceeds limit {DENSE_LIMIT}"
         )
 
 
-def _spot_check_pairs(a: np.ndarray, w: np.ndarray, v: np.ndarray, rng) -> None:
-    norm = np.abs(a).sum(axis=1).max()
-    for i in rng.choice(w.size, size=min(5, w.size), replace=False):
-        res = np.linalg.norm(a @ v[:, i] - w[i] * v[:, i])
-        if res > 1e-8 * max(norm, 1.0):
-            raise SolverError(f"backward error {res:.3e} exceeds 1e-8*|A|")
+def dense_spectrum(op: SymmetricOperator) -> Spectrum:
+    """All eigenvalues by LAPACK's symmetric eigenvalue-only driver, checked
+    through two identities that every value enters: sum w = tr M and
+    sum w^2 = ||M||_F^2, to 1e-12 * n * |M| and 1e-12 * n * |M|^2."""
+    _check_dense(op)
+    m = op.dense()
+    w = la.eigh(m, eigvals_only=True)
+    scale = max(op.norm_estimate(), 1.0)
+    tol = 1e-12 * op.n_rows * scale
+    trace_res = abs(w.sum() - np.trace(m))
+    frob_res = abs(w @ w - np.vdot(m, m))
+    if trace_res > tol or frob_res > tol * scale:
+        raise SolverError(
+            f"eigenvalues fail the trace identities: trace residual "
+            f"{trace_res:.3e} (tolerance {tol:.3e}), Frobenius residual "
+            f"{frob_res:.3e} (tolerance {tol * scale:.3e})"
+        )
+    return Spectrum("dirichlet", w, cutoff=math.inf, source="grid")
 
 
-def dense_spectrum(op: SymmetricOperator, dense_limit: int = DENSE_LIMIT,
-                   problem: str = "dirichlet") -> Spectrum:
-    """All eigenvalues via tridiagonal reduction (LAPACK syevd path)."""
-    _check_dense(op, dense_limit)
-    a = op.dense()
-    w, v = la.eigh(a)
-    _spot_check_pairs(a, w, v, np.random.default_rng(0))
-    return Spectrum(problem, w, cutoff=math.inf, source="grid")
-
-
-def generalized_spectrum(pencil: OperatorPencil, k: int | None = None,
-                         dense_limit: int = DENSE_LIMIT) -> Spectrum:
-    """Lowest k eigenvalues of B u = mu A u by Cholesky reduction of A;
-    a truncated spectrum is complete below its cutoff, the (k+1)-th value."""
-    _check_dense(pencil.a, dense_limit)
-    a = pencil.a.dense()
-    b = pencil.b.dense()
+def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectrum:
+    """Lowest k eigenvalues of B u = mu A u by LAPACK's symmetric-definite
+    driver, ``scipy.linalg.eigh(B, A)``; a truncated spectrum is complete
+    below its cutoff, the (k+1)-th value."""
+    _check_dense(pencil.a)
     try:
-        r = la.cholesky(a, lower=False)
+        w = la.eigh(pencil.b.dense(), pencil.a.dense(), eigvals_only=True)
     except la.LinAlgError as exc:
-        raise SolverError("Laplacian form is not positive definite") from exc
-    # C = R^{-T} B R^{-1}
-    c = la.solve_triangular(r, la.solve_triangular(r, b.T, trans="T").T, trans="T")
-    c = 0.5 * (c + c.T)
-    w = la.eigh(c, eigvals_only=True)
+        raise SolverError(f"pencil eigensolve failed: {exc}") from exc
     cutoff = math.inf
     if k is not None and k < w.size:
         w, cutoff = w[:k], float(w[k])

@@ -13,6 +13,7 @@ from .eigensolve import Spectrum
 from .spectral import counting
 
 TRUST_TAIL_RATIO = 0.01
+HEAT_BOUND_TOL = 1e-9  # relative slack of the free-kernel bound
 
 
 class HeatTraceError(RuntimeError):
@@ -121,18 +122,18 @@ class HeatBoundRow:
     ok: bool
 
 
-def heat_upper_bound_check(samples: HeatTraceSamples,
-                           tol: float = 1e-9) -> list[HeatBoundRow]:
+def heat_upper_bound_check(samples: HeatTraceSamples) -> list[HeatBoundRow]:
     """Assert t^{n/2} (h(t) + tail) <= (4 pi)^{-n/2} |Omega| (1 + tol) on
-    trusted samples. Hard failure for analytic spectra; grid spectra get
-    the report only (discretization moves eigenvalues both ways)."""
+    trusted samples, tol = HEAT_BOUND_TOL. Hard failure for analytic
+    spectra; grid spectra get the report only (discretization moves
+    eigenvalues both ways)."""
     n = samples.n
     bound = (4.0 * math.pi) ** (-n / 2.0) * samples.volume
     rows = []
     for t, v, tb, trusted in zip(samples.times, samples.values,
                                  samples.tail_bounds, samples.trusted):
         scaled = t ** (n / 2.0) * (v + tb)
-        ok = scaled <= bound * (1.0 + tol)
+        ok = scaled <= bound * (1.0 + HEAT_BOUND_TOL)
         rows.append(HeatBoundRow(float(t), float(scaled), bound, bool(trusted),
                                  bool(ok)))
         if trusted and not ok and samples.source == "analytic":
@@ -159,14 +160,12 @@ class WeylEstimate:
             raise ValueError("fitted leading coefficient must be positive")
 
 
-def karamata_estimate(samples: HeatTraceSamples, n: int | None = None,
-                      t_min: float | None = None,
+def karamata_estimate(samples: HeatTraceSamples, t_min: float | None = None,
                       t_max: float | None = None) -> WeylEstimate:
     """Two-term tauberian fit on the trusted window; the boundary term
     t^{-(n-1)/2} is modeled so it cannot pollute the leading coefficient.
     In one dimension that term is the constant, and constant_term is 0."""
-    if n is None:
-        n = samples.n
+    n = samples.n
     keep = samples.trusted.copy()
     if t_min is not None:
         keep &= samples.times >= t_min

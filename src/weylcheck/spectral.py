@@ -16,7 +16,6 @@ from .discretization import (
     assemble_dirichlet_laplacian,
 )
 from .eigensolve import (
-    DENSE_LIMIT,
     PROBLEMS,
     OperatorPencil,
     ShiftOnEigenvalueError,
@@ -85,16 +84,13 @@ class MaskSpectra:
         return np.sort(np.concatenate([getattr(self, p).values for p in PROBLEMS]))
 
 
-def solve_all_problems(mask: GridMask,
-                       dense_limit: int = DENSE_LIMIT) -> MaskSpectra:
+def solve_all_problems(mask: GridMask) -> MaskSpectra:
     a = assemble_dirichlet_laplacian(mask)
     b = assemble_clamped_bilaplacian(mask)
-    pencil = OperatorPencil(b, a)
-    lam = dense_spectrum(a, dense_limit, problem="dirichlet")
-    omega_sq = dense_spectrum(b, dense_limit, problem="dirichlet")
-    omega = Spectrum("bilaplacian_root", np.sqrt(omega_sq.values),
+    lam = dense_spectrum(a)
+    omega = Spectrum("bilaplacian_root", np.sqrt(dense_spectrum(b).values),
                      source="grid")
-    mu = generalized_spectrum(pencil, dense_limit=dense_limit)
+    mu = generalized_spectrum(OperatorPencil(b, a))
     return MaskSpectra(mask, lam, mu, omega)
 
 

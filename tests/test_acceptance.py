@@ -122,7 +122,7 @@ def test_criterion_6_heat_bound_and_karamata():
     t0 = time.time()
     spec = rectangle_spectrum(1, 1, 1e6)
     samples = heat_trace(spec, np.logspace(-3, 0, 24), 2, 1.0)
-    rows = heat_upper_bound_check(samples, tol=1e-9)
+    rows = heat_upper_bound_check(samples)
     bound_ok = all(r.ok for r in rows if r.trusted)
     fit_samples = heat_trace(spec, np.logspace(-3, -2, 12), 2, 1.0)
     fit = karamata_estimate(fit_samples, t_min=1e-3, t_max=1e-2)

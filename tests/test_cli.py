@@ -150,7 +150,7 @@ def test_count_not_bounded_by_dense_limit(square_json, tmp_path):
     # closed-form eigenvalues of the five-point grid Laplacian
     s = 4e4 * np.sin(np.arange(1, 100) * math.pi / 200) ** 2
     assert results["count"] == int((s[:, None] + s[None, :] < 500.0).sum())
-    # count never reads --dense-limit, so it does not accept it
+    # the dense limit is fixed: no subcommand accepts --dense-limit
     with pytest.raises(SystemExit) as exc:
         main(["count", "--domain", square_json, "--h", "0.05",
               "--lam", "500.0", "--dense-limit", "10", "-o", str(out)])
@@ -170,9 +170,9 @@ def test_missing_domain_is_config_error(tmp_path):
 
 
 def test_numerical_failure_exit(square_json, tmp_path):
-    # dense limit too small for the requested grid
-    assert main(["chain", "--domain", square_json, "--h", "0.05",
-                 "--dense-limit", "10", "-o", str(tmp_path / "o")]) == 3
+    # 9,801 nodes at h = 0.01, past the dense limit of 8,192
+    assert main(["chain", "--domain", square_json, "--h", "0.01",
+                 "-o", str(tmp_path / "o")]) == 3
 
 
 def test_rerun_byte_identical(square_json, tmp_path):
@@ -237,6 +237,23 @@ def test_bad_threshold_is_config_error(square_json, tmp_path, args):
     out = tmp_path / "o"
     assert exit_code([command, "--domain", square_json, "--h", "0.1", *rest,
                       "-o", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["heat", "--domain", "SQUARE", "--lam-max", "1e4", "--t-grid", "nan,0.1"],
+    ["heat", "--domain", "SQUARE", "--lam-max", "1e4", "--t-grid", "inf,0.1"],
+    ["karamata", "--domain", "SQUARE", "--lam-max", "1e4",
+     "--t-grid", "log:1e-3:nan:12"],
+    ["oracle", "--disk", "nan", "--lam-max", "100"],
+    ["oracle", "--rectangle", "nan", "1", "--lam-max", "100"],
+    ["oracle", "--interval", "inf", "--lam-max", "100"],
+    ["solve", "--domain", "SQUARE", "--h", "0.1", "--tol", "nan"],
+])
+def test_non_finite_option_is_config_error(square_json, tmp_path, args):
+    out = tmp_path / "o"
+    argv = [square_json if a == "SQUARE" else a for a in args]
+    assert exit_code([*argv, "-o", str(out)]) == 2
     assert not (out / "summary.json").exists()
 
 

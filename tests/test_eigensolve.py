@@ -101,9 +101,23 @@ class TestDenseSpectrum:
             assert got == pytest.approx(want, rel=0.01)
 
     def test_size_limit(self):
-        big = SymmetricOperator(sp.identity(10, format="csr"))
+        big = SymmetricOperator(sp.identity(8193, format="csr"))
         with pytest.raises(SolverError):
-            dense_spectrum(big, dense_limit=5)
+            dense_spectrum(big)
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_moved_value_raises(self, assemble, monkeypatch):
+        # one eigenvalue off by 1e-8*|M|, at either end or the middle,
+        # breaks the trace identity on the 1,521-node square
+        op = assemble(rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
+        w = dense_spectrum(op).values
+        for i in (0, w.size // 2, w.size - 1):
+            moved = w.copy()
+            moved[i] += 1e-8 * op.norm_estimate()
+            monkeypatch.setattr(la, "eigh", lambda *a, moved=moved, **kw: moved)
+            with pytest.raises(SolverError):
+                dense_spectrum(op)
 
 
 class TestGeneralizedSpectrum:
@@ -116,9 +130,11 @@ class TestGeneralizedSpectrum:
         mask = random_mask(4, dims=(8, 8))
         pencil = assemble_buckling_pencil(mask)
         mu = generalized_spectrum(pencil).values
-        import scipy.linalg as la
-
-        ref = la.eigh(pencil.b.dense(), pencil.a.dense(), eigvals_only=True)
+        # C = R^{-T} B R^{-1} for A = R^T R has the pencil's eigenvalues
+        r = la.cholesky(pencil.a.dense(), lower=False)
+        rt_inv_b = la.solve_triangular(r, pencil.b.dense(), trans="T")
+        c = la.solve_triangular(r, rt_inv_b.T, trans="T")
+        ref = np.linalg.eigvalsh(0.5 * (c + c.T))
         assert np.allclose(mu, ref, rtol=1e-9)
 
     def test_truncated_cutoff(self):
