@@ -32,7 +32,6 @@ from .eigensolve import (
 )
 from .oracles import (
     bessel_j_series,
-    bessel_zeros,
     disk_spectrum,
     interval_spectrum,
     rectangle_spectrum,

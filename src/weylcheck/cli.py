@@ -34,13 +34,26 @@ def finite(text: str) -> float:
     return value
 
 
+def _bounded(name: str, parse, ok):
+    """argparse type: parse the text, then require ok(value)."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"not {name}: {text!r}")
+        return value
+    check.__name__ = name
+    return check
+
+
+positive = _bounded("positive", finite, lambda v: v > 0)
+nonnegative = _bounded("nonnegative", finite, lambda v: v >= 0)
+positive_int = _bounded("positive_int", int, lambda v: v > 0)
+
+
 def _parse_lambdas(text: str):
     try:
         if text.startswith("auto:"):
-            count = int(text.split(":", 1)[1])
-            if count < 1:
-                raise ValueError
-            return ("auto", count)
+            return ("auto", positive_int(text.split(":", 1)[1]))
         return ("list", [finite(x) for x in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad --lambdas value {text!r}") from exc
@@ -50,11 +63,11 @@ def _parse_tgrid(text: str) -> np.ndarray:
     parts = text.split(":")
     try:
         if len(parts) == 4 and parts[0] == "log":
-            lo, hi, num = finite(parts[1]), finite(parts[2]), int(parts[3])
-            if lo <= 0 or hi <= lo or num < 2:
+            lo, hi, num = positive(parts[1]), positive(parts[2]), int(parts[3])
+            if hi <= lo or num < 2:
                 raise ValueError
             return np.logspace(math.log10(lo), math.log10(hi), num)
-        return np.array([finite(x) for x in text.split(",")])
+        return np.array([positive(x) for x in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad --t-grid value {text!r}") from exc
 
@@ -297,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="grid eigenvalues of one problem")
     common(p)
     p.add_argument("--h", type=finite, required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=positive_int, default=10)
     p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
                    default="dirichlet")
-    p.add_argument("--tol", type=finite, default=1e-8)
+    p.add_argument("--tol", type=positive, default=1e-8)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("count",
@@ -336,23 +349,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", help="heat trace and the free-kernel bound")
     common(p)
-    p.add_argument("--lam-max", type=finite, required=True)
+    p.add_argument("--lam-max", type=nonnegative, required=True)
     p.add_argument("--t-grid", default="log:1e-3:1e-2:12",
                    help="'log:lo:hi:n' or a comma list")
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("karamata", help="tauberian fit of the Weyl coefficient")
     common(p)
-    p.add_argument("--lam-max", type=finite, required=True)
+    p.add_argument("--lam-max", type=nonnegative, required=True)
     p.add_argument("--t-grid", default="log:1e-3:1e-2:12")
     p.set_defaults(func=cmd_karamata)
 
     p = sub.add_parser("oracle", help="closed-form spectrum to CSV")
     common(p, domain=False)
-    p.add_argument("--rectangle", type=finite, nargs=2, metavar=("A", "B"))
-    p.add_argument("--interval", type=finite)
-    p.add_argument("--disk", type=finite)
-    p.add_argument("--lam-max", type=finite, required=True)
+    p.add_argument("--rectangle", type=positive, nargs=2, metavar=("A", "B"))
+    p.add_argument("--interval", type=positive)
+    p.add_argument("--disk", type=positive)
+    p.add_argument("--lam-max", type=nonnegative, required=True)
     p.set_defaults(func=cmd_oracle)
 
     return parser

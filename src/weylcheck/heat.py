@@ -160,19 +160,13 @@ class WeylEstimate:
             raise ValueError("fitted leading coefficient must be positive")
 
 
-def karamata_estimate(samples: HeatTraceSamples, t_min: float | None = None,
-                      t_max: float | None = None) -> WeylEstimate:
-    """Two-term tauberian fit on the trusted window; the boundary term
+def karamata_estimate(samples: HeatTraceSamples) -> WeylEstimate:
+    """Two-term tauberian fit on the trusted samples; the boundary term
     t^{-(n-1)/2} is modeled so it cannot pollute the leading coefficient.
     In one dimension that term is the constant, and constant_term is 0."""
     n = samples.n
-    keep = samples.trusted.copy()
-    if t_min is not None:
-        keep &= samples.times >= t_min
-    if t_max is not None:
-        keep &= samples.times <= t_max
-    t = samples.times[keep]
-    h = samples.values[keep]
+    t = samples.times[samples.trusted]
+    h = samples.values[samples.trusted]
     if t.size < 8:
         raise HeatTraceError(
             f"need at least 8 trusted samples in the window, have {t.size}"

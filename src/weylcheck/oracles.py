@@ -1,10 +1,10 @@
 """Closed-form spectra used as grid-independent oracles.
 
 Rectangle and interval spectra come from the classical separated
-eigenvalues. Disk eigenvalues are squared Bessel zeros; the zeros are
-found by sign-change bracketing of the ascending power series of J_k
-(evaluated in extended precision) refined by bisection, so the disk
-oracle shares no code with the grid solvers.
+eigenvalues. Disk eigenvalues are squared Bessel zeros from scipy's
+``jn_zeros``; each zero is certified by a sign change of the ascending
+power series of J_k evaluated in extended precision, so the disk oracle
+shares no code with the grid solvers.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from mpmath import mp
 
-from .eigensolve import Spectrum
+from .eigensolve import SolverError, Spectrum
 
 BESSEL_ARG_LIMIT = 60.0  # series validated up to here at 50 digits
 _BESSEL_DPS = 50
@@ -52,6 +51,8 @@ def bessel_j_series(order: int, x: float):
     Alternating series with huge intermediate terms; extended precision
     absorbs the cancellation. Valid for 0 <= x <= BESSEL_ARG_LIMIT.
     """
+    from mpmath import mp
+
     if x < 0 or x > BESSEL_ARG_LIMIT:
         raise ValueError(f"series argument {x} outside [0, {BESSEL_ARG_LIMIT}]")
     with mp.workdps(_BESSEL_DPS):
@@ -70,45 +71,18 @@ def bessel_j_series(order: int, x: float):
         return float(total)
 
 
-def bessel_zeros(order: int, x_max: float, tol: float = 1e-10) -> list[float]:
-    """Positive zeros of J_order up to x_max, by bracketing and bisection.
-
-    Consecutive zeros of J_k are more than pi apart only asymptotically
-    from above, so a scan step below pi cannot skip a pair.
-    """
-    if x_max > BESSEL_ARG_LIMIT:
-        raise ValueError(
-            f"x_max={x_max} beyond validated series range {BESSEL_ARG_LIMIT}"
-        )
-    zeros = []
-    step = 0.5
-    x = max(order * 0.5, step)  # J_k > 0 on (0, j_{k,1}) and j_{k,1} > k
-    f_prev = bessel_j_series(order, x)
-    while x < x_max:
-        x_next = min(x + step, x_max)
-        f_next = bessel_j_series(order, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-        elif f_prev * f_next < 0:
-            lo, hi = x, x_next
-            flo = f_prev
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = bessel_j_series(order, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                elif flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-        x, f_prev = x_next, f_next
-    return zeros
-
-
 def disk_spectrum(r: float, lam_max: float) -> Spectrum:
     """Dirichlet disk eigenvalues j_{k,l}^2 / r^2 below lam_max;
-    multiplicity 2 for angular order k >= 1."""
+    multiplicity 2 for angular order k >= 1.
+
+    j_{k,s} >= j_{0,s} > (s - 1/4) pi, so floor(x_max/pi) + 2 zeros per
+    order reach past x_max; the last one must, which makes the count a
+    check. J_k > 0 on (0, j_{k,1}), so the series taking the sign (-1)^s
+    just below the s-th zero (0-based) and the opposite sign just above it
+    certifies each zero and rules out an odd number missing before it.
+    """
+    from scipy.special import jn_zeros
+
     if r <= 0:
         raise ValueError("disk radius must be positive")
     x_max = math.sqrt(lam_max) * r
@@ -120,12 +94,18 @@ def disk_spectrum(r: float, lam_max: float) -> Spectrum:
     vals = []
     k = 0
     while True:
-        zk = bessel_zeros(k, x_max)
-        if not zk:
+        zeros = jn_zeros(k, int(x_max / math.pi) + 2)
+        if not zeros[-1] > x_max:
+            raise SolverError(f"zeros of J_{k} end at {zeros[-1]} <= {x_max}")
+        zeros = zeros[zeros < x_max]
+        if not zeros.size:
             break
-        mult = 1 if k == 0 else 2
-        for z in zk:
-            vals.extend([(z / r) ** 2] * mult)
+        for s, z in enumerate(zeros):
+            below = bessel_j_series(k, z * (1 - 1e-10))
+            above = bessel_j_series(k, min(z * (1 + 1e-10), BESSEL_ARG_LIMIT))
+            if not (-1) ** s * below > 0 > (-1) ** s * above:
+                raise SolverError(f"J_{k} has no sign change at zero {s}, {z!r}")
+        vals.extend(np.repeat((zeros / r) ** 2, 1 if k == 0 else 2))
         k += 1
     return Spectrum("dirichlet", np.array(vals), cutoff=lam_max,
                     source="analytic")

@@ -257,6 +257,24 @@ def test_non_finite_option_is_config_error(square_json, tmp_path, args):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "--disk", "-1", "--lam-max", "100"],
+    ["oracle", "--rectangle", "0", "1", "--lam-max", "100"],
+    ["oracle", "--interval", "-2", "--lam-max", "100"],
+    ["oracle", "--disk", "1", "--lam-max", "-1"],
+    ["solve", "--domain", "SQUARE", "--h", "0.1", "--k", "0"],
+    ["solve", "--domain", "SQUARE", "--h", "0.1", "--tol", "-1"],
+    ["heat", "--domain", "SQUARE", "--lam-max", "1e4", "--t-grid=0,0.1"],
+    ["heat", "--domain", "SQUARE", "--lam-max", "-1"],
+    ["karamata", "--domain", "SQUARE", "--lam-max", "-1"],
+])
+def test_out_of_range_option_is_config_error(square_json, tmp_path, args):
+    out = tmp_path / "o"
+    argv = [square_json if a == "SQUARE" else a for a in args]
+    assert exit_code([*argv, "-o", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
 def test_bad_eta_is_config_error(square_json, tmp_path):
     assert exit_code(["cover", "--domain", square_json, "--eta", "nan",
                       "-o", str(tmp_path / "o")]) == 2

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
-from weylcheck.eigensolve import Spectrum
+from weylcheck.eigensolve import SolverError, Spectrum
 from weylcheck.oracles import (
     bessel_j_series,
-    bessel_zeros,
     disk_spectrum,
     interval_spectrum,
     rectangle_spectrum,
@@ -80,21 +85,57 @@ class TestBesselSeries:
             bessel_j_series(0, 61.0)
 
 
-class TestBesselZeros:
-    def test_first_zeros_of_j0(self):
-        zeros = bessel_zeros(0, 10.0)
-        assert np.allclose(zeros, [J01, J02, J03], atol=1e-9)
+def simple_roots(spectrum):
+    """sqrt of the values of multiplicity 1: the zeros of J_0."""
+    values, counts = np.unique(spectrum.values, return_counts=True)
+    return np.sqrt(values[counts == 1])
 
-    def test_first_zero_of_j1(self):
-        assert bessel_zeros(1, 5.0)[0] == pytest.approx(J11, abs=1e-9)
 
-    def test_count_matches_mcmahon_density(self):
-        # McMahon: j_{0,k} ~ (k - 1/4) pi, so 59/pi + 1/4 ~ 19.03 zeros
-        zeros = bessel_zeros(0, 59.0)
-        assert len(zeros) == 19
+@pytest.fixture(scope="module")
+def disk_59():
+    return disk_spectrum(1, 59.0**2)
 
 
 class TestDiskSpectrum:
+    def test_first_zeros_of_j0(self, disk_59):
+        assert np.allclose(simple_roots(disk_59)[:3], [J01, J02, J03],
+                           atol=1e-9)
+
+    def test_first_zero_of_j1(self, disk_59):
+        values, counts = np.unique(disk_59.values, return_counts=True)
+        assert math.sqrt(values[counts == 2][0]) == pytest.approx(J11, abs=1e-9)
+
+    def test_count_matches_mcmahon_density(self, disk_59):
+        # McMahon: j_{0,k} ~ (k - 1/4) pi, so 59/pi + 1/4 ~ 19.03 zeros
+        assert simple_roots(disk_59).size == 19
+
+    def test_matches_mpmath_besseljzero(self):
+        # an independent reference: mpmath's own zero finder
+        want = []
+        for k in range(30):
+            s = 1
+            while (z := float(mpmath.besseljzero(k, s))) < 30.0:
+                want.extend([z * z] * (1 if k == 0 else 2))
+                s += 1
+        got = disk_spectrum(1, 900).values
+        assert got.size == len(want) == 209
+        assert np.allclose(got, np.sort(want), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda z: z * np.where(np.arange(z.size) == 2, 1 + 1e-8, 1),
+         "no sign change"),
+        (lambda z: np.delete(z, 0), "no sign change"),
+        (lambda z: z[:-3], "end at"),
+    ], ids=["moved", "dropped", "short"])
+    def test_wrong_zeros_raise(self, monkeypatch, mutate, message):
+        # J_3 has 5 zeros below x = 20, and 8 are requested
+        jn_zeros = scipy.special.jn_zeros
+        monkeypatch.setattr(
+            scipy.special, "jn_zeros",
+            lambda k, n: mutate(jn_zeros(k, n)) if k == 3 else jn_zeros(k, n))
+        with pytest.raises(SolverError, match=message):
+            disk_spectrum(1, 400)
+
     def test_ground_state(self):
         s = disk_spectrum(1, 30)
         assert s.values[0] == pytest.approx(J01**2, abs=1e-8)
@@ -118,3 +159,17 @@ class TestDiskSpectrum:
         n = int((s.values < lam).sum())
         weyl = lam * math.pi / (4 * math.pi)
         assert 0.8 * weyl < n < weyl
+
+
+def test_import_loads_neither_scipy_special_nor_mpmath():
+    # both load on first use, so the set-up cost of a run does not pay them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, weylcheck; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'mpmath'"
+         " or m.startswith('scipy.special')))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
