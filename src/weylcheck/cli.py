@@ -82,13 +82,24 @@ def _load_domain(path: str) -> geometry.DomainSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _disk_spectrum(r: float, lam_max: float):
+    """The disk oracle, with lam_max past its Bessel argument range a
+    configuration error rather than a numerical failure."""
+    if math.sqrt(lam_max) * r > oracles.BESSEL_ARG_LIMIT:
+        raise ConfigError(
+            f"--lam-max {lam_max} on a disk of radius {r} needs Bessel "
+            f"arguments past {oracles.BESSEL_ARG_LIMIT}"
+        )
+    return oracles.disk_spectrum(r, lam_max)
+
+
 def _analytic_spectrum(spec: geometry.DomainSpec, lam_max: float):
     if spec.kind == "rectangle":
         return oracles.rectangle_spectrum(spec.a, spec.b, lam_max)
     if spec.kind == "interval":
         return oracles.interval_spectrum(spec.a, lam_max)
     if spec.kind == "disk":
-        return oracles.disk_spectrum(spec.r, lam_max)
+        return _disk_spectrum(spec.r, lam_max)
     raise ConfigError(f"no analytic spectrum for domain kind {spec.kind!r}")
 
 
@@ -282,7 +293,7 @@ def cmd_oracle(args) -> int:
         spectrum = oracles.interval_spectrum(args.interval, args.lam_max)
         config = {"interval": args.interval}
     elif args.disk is not None:
-        spectrum = oracles.disk_spectrum(args.disk, args.lam_max)
+        spectrum = _disk_spectrum(args.disk, args.lam_max)
         config = {"disk": args.disk}
     else:
         raise ConfigError("oracle needs one of --rectangle, --interval, --disk")

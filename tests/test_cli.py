@@ -275,6 +275,21 @@ def test_out_of_range_option_is_config_error(square_json, tmp_path, args):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "--disk", "1", "--lam-max", "1e5"],
+    ["heat", "--domain", "DISK", "--lam-max", "1e5"],
+    ["karamata", "--domain", "DISK", "--lam-max", "1e5"],
+])
+def test_disk_oracle_past_its_range_is_config_error(tmp_path, args):
+    # R * sqrt(lam_max) = 316 lies past the disk oracle's Bessel range of 60
+    disk = tmp_path / "disk.json"
+    disk.write_text('{"kind": "disk", "r": 1.0}')
+    out = tmp_path / "o"
+    argv = [str(disk) if a == "DISK" else a for a in args]
+    assert exit_code([*argv, "-o", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
 def test_bad_eta_is_config_error(square_json, tmp_path):
     assert exit_code(["cover", "--domain", square_json, "--eta", "nan",
                       "-o", str(tmp_path / "o")]) == 2

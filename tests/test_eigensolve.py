@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,33 @@ class TestLowestK:
             kk = min(k, op.n_rows)
             dense = la.eigh(op.dense(), eigvals_only=True)[:kk]
             assert np.allclose(lowest_k(op, kk).values, dense, rtol=1e-9)
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_disk_matches_dense(self, assemble):
+        # 1,789 nodes on the unit disk at h = 1/24: B on a real domain,
+        # where the small mirrored masks are the only other dense check
+        op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
+        dense = la.eigh(op.dense(), eigvals_only=True)[:20]
+        assert np.allclose(lowest_k(op, 20).values, dense, rtol=1e-9)
+
+    @pytest.mark.parametrize("mask, k", [
+        (symmetric_mask(1195, 11, 0.05), 20),
+        (symmetric_mask(5186, 12, 0.1), 6),
+        # one eigsh on its unsplit A fails in a fresh process and
+        # succeeds on a second call
+        (symmetric_mask(83, 12, 0.05), 20),
+        (rasterize(DomainSpec.disk(1.0), 1 / 24), 20),
+    ], ids=["seed1195", "seed5186", "seed83", "disk24"])
+    def test_rerun_bit_identical(self, mask, k):
+        # ARPACK keeps process-wide state between calls; an unrelated
+        # eigsh from its own random start in between must not move a bit
+        for op in (assemble_dirichlet_laplacian(mask),
+                   assemble_clamped_bilaplacian(mask)):
+            kk = min(k, op.n_rows)
+            first = lowest_k(op, kk).values
+            spla.eigsh(sp.diags(np.arange(1.0, 41.0)), k=3)
+            assert np.array_equal(lowest_k(op, kk).values, first)
 
     def test_k_out_of_range(self):
         with pytest.raises(SolverError):
