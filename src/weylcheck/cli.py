@@ -48,6 +48,7 @@ def _bounded(name: str, parse, ok):
 positive = _bounded("positive", finite, lambda v: v > 0)
 nonnegative = _bounded("nonnegative", finite, lambda v: v >= 0)
 positive_int = _bounded("positive_int", int, lambda v: v > 0)
+nonnegative_int = _bounded("nonnegative_int", int, lambda v: v >= 0)
 
 
 def _parse_lambdas(text: str):
@@ -82,40 +83,21 @@ def _load_domain(path: str) -> geometry.DomainSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _disk_spectrum(r: float, lam_max: float):
-    """The disk oracle, with lam_max past its Bessel argument range a
-    configuration error rather than a numerical failure."""
-    if math.sqrt(lam_max) * r > oracles.BESSEL_ARG_LIMIT:
-        raise ConfigError(
-            f"--lam-max {lam_max} on a disk of radius {r} needs Bessel "
-            f"arguments past {oracles.BESSEL_ARG_LIMIT}"
-        )
-    return oracles.disk_spectrum(r, lam_max)
-
-
 def _analytic_spectrum(spec: geometry.DomainSpec, lam_max: float):
     if spec.kind == "rectangle":
         return oracles.rectangle_spectrum(spec.a, spec.b, lam_max)
     if spec.kind == "interval":
         return oracles.interval_spectrum(spec.a, lam_max)
     if spec.kind == "disk":
-        return _disk_spectrum(spec.r, lam_max)
+        # past its Bessel argument range the disk oracle is a configuration
+        # error rather than a numerical failure
+        if math.sqrt(lam_max) * spec.r > oracles.BESSEL_ARG_LIMIT:
+            raise ConfigError(
+                f"--lam-max {lam_max} on a disk of radius {spec.r} needs "
+                f"Bessel arguments past {oracles.BESSEL_ARG_LIMIT}"
+            )
+        return oracles.disk_spectrum(spec.r, lam_max)
     raise ConfigError(f"no analytic spectrum for domain kind {spec.kind!r}")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_summary(out: Path, command: str, config: dict, results: dict) -> None:
-    summary = {"command": command, "config": config, "results": results}
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    with open(out / "run.log", "a") as fh:
-        fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {command} done\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -127,10 +109,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 # -- commands --------------------------------------------------------------
+# Each cmd_<name>(args, out) writes its CSV tables to out and returns the
+# results of its summary; main records the options and writes the summary.
 
 
-def cmd_solve(args) -> int:
-    out = _out_dir(args)
+def cmd_solve(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     forms = spectral.MaskForms(mask)
     if args.problem == "dirichlet":
@@ -145,28 +128,17 @@ def cmd_solve(args) -> int:
         result = eigensolve.generalized_spectrum(
             discretization.assemble_buckling_pencil(mask), args.k)
     result.dump(out / "spectrum.csv", h=args.h)
-    _write_summary(out, "solve",
-                   {"domain": args.domain, "h": args.h, "k": args.k,
-                    "problem": args.problem, "tol": args.tol},
-                   {"nodes": mask.n_nodes,
-                    "values": [float(v) for v in result.values]})
-    return 0
+    return {"nodes": mask.n_nodes, "values": [float(v) for v in result.values]}
 
 
-def cmd_count(args) -> int:
-    out = _out_dir(args)
+def cmd_count(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     problem = "bilaplacian_root" if args.problem == "bilaplacian" else args.problem
-    count = spectral.MaskForms(mask).count(problem, args.lam)
-    _write_summary(out, "count",
-                   {"domain": args.domain, "h": args.h, "lam": args.lam,
-                    "problem": args.problem},
-                   {"nodes": mask.n_nodes, "count": count})
-    return 0
+    return {"nodes": mask.n_nodes,
+            "count": spectral.MaskForms(mask).count(problem, args.lam)}
 
 
-def cmd_chain(args) -> int:
-    out = _out_dir(args)
+def cmd_chain(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     mode, payload = _parse_lambdas(args.lambdas)
     if mode == "auto" or args.method == "dense":
@@ -179,44 +151,32 @@ def cmd_chain(args) -> int:
                [(float(l), int(b), int(bl), int(d),
                  "PASS" if b <= bl <= d else "FAIL")
                 for l, b, bl, d in report.rows()])
-    _write_summary(out, "chain",
-                   {"domain": args.domain, "h": args.h,
-                    "lambdas": args.lambdas, "method": args.method},
-                   {"nodes": mask.n_nodes, "points": len(lam_grid),
-                    "ok": report.ok})
-    return 0
+    return {"nodes": mask.n_nodes, "points": len(lam_grid), "ok": report.ok}
 
 
-def cmd_super(args) -> int:
-    out = _out_dir(args)
+def cmd_super(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     parts = spectral.split_separated(mask, seed=args.seed)
     whole = spectral.solve_all_problems(mask)
-    if args.lam is not None:
-        lam = args.lam
-    else:
+    if args.lam is None:
+        # the resolved threshold is recorded as the option, so the summary
+        # replays with --lam
         grid = spectral.eigenvalue_avoiding_grid(whole.merged_values(), 999)
-        lam = float(grid[len(grid) // 2])
+        args.lam = float(grid[len(grid) // 2])
     report = spectral.superadditivity_check(
         whole,
         [spectral.solve_all_problems(p) for p in parts if p.n_nodes],
-        lam,
+        args.lam,
     )
     sums = {p: sum(q[p] for q in report.parts) for p in report.whole}
     _write_csv(out / "superadditivity.csv", "problem,whole,parts_sum,status",
                [(p, n, sums[p], "PASS" if n >= sums[p] else "FAIL")
                 for p, n in sorted(report.whole.items())])
-    _write_summary(out, "super",
-                   {"domain": args.domain, "h": args.h, "lam": lam,
-                    "seed": args.seed},
-                   {"nodes": mask.n_nodes,
-                    "part_nodes": [p.n_nodes for p in parts],
-                    "ok": report.ok})
-    return 0
+    return {"nodes": mask.n_nodes, "part_nodes": [p.n_nodes for p in parts],
+            "ok": report.ok}
 
 
-def cmd_cover(args) -> int:
-    out = _out_dir(args)
+def cmd_cover(args, out: Path) -> dict:
     spec = _load_domain(args.domain)
     cover = geometry.cube_cover(spec, args.eta)
     results = {
@@ -235,17 +195,21 @@ def cmd_cover(args) -> int:
         )
     _write_csv(out / "cubes.csv", "x,y,side",
                [(float(x), float(y), cover.side) for x, y in cover.corners])
-    _write_summary(out, "cover", {"domain": args.domain, "eta": args.eta,
-                                  "lam": args.lam}, results)
-    return 0
+    return results
 
 
-def cmd_heat(args) -> int:
-    out = _out_dir(args)
+def _heat_samples(args):
+    """The domain, its analytic spectrum below --lam-max and its heat trace
+    on --t-grid."""
     spec = _load_domain(args.domain)
     spectrum = _analytic_spectrum(spec, args.lam_max)
     times = _parse_tgrid(args.t_grid)
-    samples = heat.heat_trace(spectrum, times, spec.dimension, spec.volume)
+    return spec, spectrum, heat.heat_trace(spectrum, times, spec.dimension,
+                                           spec.volume)
+
+
+def cmd_heat(args, out: Path) -> dict:
+    _, spectrum, samples = _heat_samples(args)
     rows = heat.heat_upper_bound_check(samples)
     _write_csv(out / "heat.csv",
                "t,value,tail_bound,scaled,free_kernel_bound,trusted,bound_ok",
@@ -253,54 +217,36 @@ def cmd_heat(args) -> int:
                  r.trusted, r.ok)
                 for t, v, tb, r in zip(samples.times, samples.values,
                                        samples.tail_bounds, rows)])
-    _write_summary(out, "heat",
-                   {"domain": args.domain, "lam_max": args.lam_max,
-                    "t_grid": args.t_grid},
-                   {"eigenvalues": len(spectrum),
-                    "trusted": int(samples.trusted.sum()),
-                    "bound_ok": all(r.ok for r in rows if r.trusted)})
-    return 0
+    return {"eigenvalues": len(spectrum),
+            "trusted": int(samples.trusted.sum()),
+            "bound_ok": all(r.ok for r in rows if r.trusted)}
 
 
-def cmd_karamata(args) -> int:
-    out = _out_dir(args)
-    spec = _load_domain(args.domain)
-    spectrum = _analytic_spectrum(spec, args.lam_max)
-    times = _parse_tgrid(args.t_grid)
-    samples = heat.heat_trace(spectrum, times, spec.dimension, spec.volume)
+def cmd_karamata(args, out: Path) -> dict:
+    spec, _, samples = _heat_samples(args)
     est = heat.karamata_estimate(samples)
     expected = (4.0 * math.pi) ** (-spec.dimension / 2.0) * spec.volume
-    _write_summary(out, "karamata",
-                   {"domain": args.domain, "lam_max": args.lam_max,
-                    "t_grid": args.t_grid},
-                   {"coefficient": est.coefficient,
-                    "eq_constant": est.eq_constant,
-                    "expected_coefficient": expected,
-                    "relative_error": abs(est.coefficient - expected) / expected,
-                    "boundary_term": est.boundary_term,
-                    "constant_term": est.constant_term,
-                    "fit_window": list(est.fit_window),
-                    "residual": est.residual})
-    return 0
+    return {"coefficient": est.coefficient,
+            "eq_constant": est.eq_constant,
+            "expected_coefficient": expected,
+            "relative_error": abs(est.coefficient - expected) / expected,
+            "boundary_term": est.boundary_term,
+            "constant_term": est.constant_term,
+            "fit_window": list(est.fit_window),
+            "residual": est.residual}
 
 
-def cmd_oracle(args) -> int:
-    out = _out_dir(args)
-    if args.rectangle is not None:
-        spectrum = oracles.rectangle_spectrum(*args.rectangle, args.lam_max)
-        config = {"rectangle": args.rectangle}
-    elif args.interval is not None:
-        spectrum = oracles.interval_spectrum(args.interval, args.lam_max)
-        config = {"interval": args.interval}
-    elif args.disk is not None:
-        spectrum = _disk_spectrum(args.disk, args.lam_max)
-        config = {"disk": args.disk}
-    else:
-        raise ConfigError("oracle needs one of --rectangle, --interval, --disk")
+def cmd_oracle(args, out: Path) -> dict:
+    # the shape options default to SUPPRESS: only the given one is parsed
+    shapes = {"rectangle", "interval", "disk"} & vars(args).keys()
+    if len(shapes) != 1:
+        raise ConfigError("oracle needs exactly one of --rectangle, --interval, --disk")
+    (shape,) = shapes
+    size, build = getattr(args, shape), getattr(geometry.DomainSpec, shape)
+    spectrum = _analytic_spectrum(
+        build(*size) if shape == "rectangle" else build(size), args.lam_max)
     spectrum.dump(out / "spectrum.csv")
-    config["lam_max"] = args.lam_max
-    _write_summary(out, "oracle", config, {"count": len(spectrum)})
-    return 0
+    return {"count": len(spectrum)}
 
 
 # -- argument parsing ------------------------------------------------------
@@ -349,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lam", type=finite, default=None,
                    help="threshold; default: median eigenvalue-avoiding midpoint")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.set_defaults(func=cmd_super)
 
     p = sub.add_parser("cover", help="cube cover and its counting lower bound")
@@ -373,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="closed-form spectrum to CSV")
     common(p, domain=False)
-    p.add_argument("--rectangle", type=positive, nargs=2, metavar=("A", "B"))
-    p.add_argument("--interval", type=positive)
-    p.add_argument("--disk", type=positive)
+    p.add_argument("--rectangle", type=positive, nargs=2, metavar=("A", "B"),
+                   default=argparse.SUPPRESS)
+    p.add_argument("--interval", type=positive, default=argparse.SUPPRESS)
+    p.add_argument("--disk", type=positive, default=argparse.SUPPRESS)
     p.add_argument("--lam-max", type=nonnegative, required=True)
     p.set_defaults(func=cmd_oracle)
 
@@ -383,10 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; on success write its summary.json, whose config is
+    the parsed options, and append a line to run.log."""
+    args = build_parser().parse_args(argv)
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args)
+        results = args.func(args, out)
     except (ConfigError, geometry.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -397,6 +347,14 @@ def main(argv=None) -> int:
             discretization.AssemblyError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "output_dir")}
+    summary = {"command": args.command, "config": config, "results": results}
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    (out / "summary.json").write_text(text)
+    with open(out / "run.log", "a") as fh:
+        fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {args.command} done\n")
+    return 0
 
 
 if __name__ == "__main__":

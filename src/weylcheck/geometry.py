@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -189,9 +190,20 @@ class Disk(DomainSpec):
 
     def contains_box(self, x0, y0, x1, y1):
         # convex and centered: the corner farthest from the origin decides
-        far_x = np.maximum(np.abs(x0), np.abs(x1))
-        far_y = np.maximum(np.abs(y0), np.abs(y1))
-        return far_x * far_x + far_y * far_y <= self.r**2
+        far_x, far_y = np.broadcast_arrays(np.maximum(np.abs(x0), np.abs(x1)),
+                                           np.maximum(np.abs(y0), np.abs(y1)))
+        s, r2 = far_x * far_x + far_y * far_y, self.r * self.r
+        inside = np.array(s <= r2)
+        # s is within about eps*s of the exact sum and r2 within eps*r^2/2 of
+        # r^2, plus a subnormal ulp each on underflow: outside twice that margin
+        # the float comparison decides; within it, or on overflow (NaN),
+        # exact rational arithmetic does
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        near = ~(np.abs(s - r2) > 2 * (eps * (s + r2) + tiny))
+        for i in np.flatnonzero(near):
+            fx, fy = Fraction(far_x.flat[i]), Fraction(far_y.flat[i])
+            inside.flat[i] = fx * fx + fy * fy <= Fraction(self.r) ** 2
+        return inside
 
 
 @dataclass(frozen=True)

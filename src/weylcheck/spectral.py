@@ -96,8 +96,8 @@ def solve_all_problems(mask: GridMask) -> MaskSpectra:
 
 class MaskForms:
     """Exact inertia counts of the three problems on one mask, at any size:
-    A at lambda, B at lambda^2 (the bilaplacian roots) and the pencil (B, A)
-    at lambda. Each form is assembled the first time a count needs it."""
+    A at lambda, B at lambda^2 for lambda > 0 (the bilaplacian roots) and the
+    pencil (B, A) at lambda. Each form is assembled the first time a count needs it."""
 
     def __init__(self, mask: GridMask):
         self.mask = mask
@@ -114,7 +114,9 @@ class MaskForms:
         if problem == "dirichlet":
             return robust_count(self.a, lam)
         if problem == "bilaplacian_root":
-            return robust_count(self.b, lam * lam)
+            # the roots are positive (B is positive definite): lam^2 would
+            # lose the sign of lam
+            return robust_count(self.b, lam * lam) if lam > 0 else 0
         if problem == "buckling":
             return robust_count(OperatorPencil(self.b, self.a), lam)
         raise ValueError(f"unknown problem {problem!r}")

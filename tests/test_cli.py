@@ -72,6 +72,23 @@ def test_count_matches_solve(square_json, tmp_path):
     assert read_summary(out)["results"]["count"] == 3  # 2,5,5 times pi^2
 
 
+def test_bilaplacian_count_below_zero(square_json, tmp_path):
+    # omega > 0: nothing lies below a negative threshold, although its
+    # square lies above the lowest omega^2
+    out = tmp_path / "out"
+    assert main(["count", "--domain", square_json, "--h", "0.1",
+                 "--lam", "-40", "--problem", "bilaplacian", "-o", str(out)]) == 0
+    assert read_summary(out)["results"]["count"] == 0
+
+
+def test_inertia_chain_below_zero(square_json, tmp_path):
+    out = tmp_path / "out"
+    assert main(["chain", "--domain", square_json, "--h", "0.1",
+                 "--lambdas=-40,-50", "--method", "inertia", "-o", str(out)]) == 0
+    assert (out / "chain.csv").read_text().splitlines()[1:] == [
+        "-40.0,0,0,0,PASS", "-50.0,0,0,0,PASS"]
+
+
 def test_chain_pass(square_json, tmp_path):
     out = tmp_path / "out"
     assert main(["chain", "--domain", square_json, "--h", "0.05",
@@ -267,6 +284,8 @@ def test_non_finite_option_is_config_error(square_json, tmp_path, args):
     ["heat", "--domain", "SQUARE", "--lam-max", "1e4", "--t-grid=0,0.1"],
     ["heat", "--domain", "SQUARE", "--lam-max", "-1"],
     ["karamata", "--domain", "SQUARE", "--lam-max", "-1"],
+    ["oracle", "--rectangle", "1", "1", "--disk", "1", "--lam-max", "100"],
+    ["super", "--domain", "SQUARE", "--h", "0.1", "--seed", "-1"],
 ])
 def test_out_of_range_option_is_config_error(square_json, tmp_path, args):
     out = tmp_path / "o"
@@ -295,8 +314,9 @@ def test_bad_eta_is_config_error(square_json, tmp_path):
                       "-o", str(tmp_path / "o")]) == 2
 
 
-def test_readme_command_lines(tmp_path):
-    # every example of README's "Command line" block runs and exits 0
+def readme_runs(tmp_path):
+    """argv of each example in README's "Command line" block, with its
+    domain files written to tmp_path and its -o directory there."""
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
     lines = [ln for ln in block.split("```", 1)[0].splitlines()
@@ -306,8 +326,37 @@ def test_readme_command_lines(tmp_path):
                "disk.json": '{"kind": "disk", "r": 1.0}'}
     for name, text in domains.items():
         (tmp_path / name).write_text(text)
-    for k, line in enumerate(lines):
-        argv = [str(tmp_path / a) if a in domains
-                else str(tmp_path / f"out{k}") if a == "out/" else a
-                for a in shlex.split(line)[1:]]
+    return [(line, [str(tmp_path / a) if a in domains
+                    else str(tmp_path / f"out{k}") if a == "out/" else a
+                    for a in shlex.split(line)[1:]])
+            for k, line in enumerate(lines)]
+
+
+def test_readme_command_lines(tmp_path):
+    # every example of README's "Command line" block runs and exits 0
+    for line, argv in readme_runs(tmp_path):
         assert main(argv) == 0, line
+
+
+def replay_argv(summary):
+    """The argv that reruns a summary's command with its recorded options."""
+    argv = [summary["command"]]
+    for key, value in summary["config"].items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def test_readme_runs_replay_from_their_record(tmp_path):
+    # the recorded config is every option a run used, super's resolved
+    # threshold included: rerunning it gives a byte-identical summary
+    for k, (line, argv) in enumerate(readme_runs(tmp_path)):
+        assert main(argv) == 0, line
+        first = Path(argv[argv.index("-o") + 1]) / "summary.json"
+        again = tmp_path / f"again{k}"
+        replay = replay_argv(json.loads(first.read_text()))
+        assert main([*replay, "-o", str(again)]) == 0, replay
+        assert (again / "summary.json").read_bytes() == first.read_bytes(), line

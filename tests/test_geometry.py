@@ -300,6 +300,26 @@ class TestCubeCover:
             assert 0 <= i * side and (i + 1) * side <= Fraction(a)
             assert 0 <= j * side and (j + 1) * side <= Fraction(b)
 
+    def test_disk_box_decided_exactly(self):
+        # fl(0.6)^2 + fl(0.8)^2 exceeds 1 by 4.4e-17, which the rounded sum
+        # loses; a corner exactly on the closed circle stays inside
+        assert not DomainSpec.disk(1.0).contains_box(0.5, 0.7, 0.6, 0.8)
+        assert DomainSpec.disk(5.0).contains_box(0.0, 0.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("eta, cubes", [(0.018856180831641266, 17356),
+                                            (0.07, 1200)])
+    def test_real_cubes_inside_disk(self, eta, cubes):
+        # every kept cube lies in the closed unit disk in exact rational
+        # arithmetic; at the finer eta, 8 more cubes pass in floating point
+        cover = cube_cover(DomainSpec.disk(1.0), eta)
+        assert len(cover.corners) == cubes
+        side = Fraction(cover.side)
+        for x0, y0 in cover.corners:
+            i, j = round(x0 / cover.side), round(y0 / cover.side)
+            far_x = max(abs(i * side), abs((i + 1) * side))
+            far_y = max(abs(j * side), abs((j + 1) * side))
+            assert far_x * far_x + far_y * far_y <= 1
+
     def test_cubes_disjoint_lattice(self):
         cover = cube_cover(DomainSpec.disk(1), 0.3 * math.sqrt(2))
         scaled = cover.corners / cover.side

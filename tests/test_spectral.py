@@ -138,6 +138,16 @@ class TestChain:
             MaskForms(mask), [MaskForms(p) for p in parts], lam)
         assert by_dense == by_inertia
 
+    def test_inertia_matches_dense_at_nonpositive_thresholds(self):
+        # every value of the three problems is positive: nothing lies below
+        # lambda <= 0, and the bilaplacian root count must not square the
+        # sign away
+        spectra = solve_all_problems(random_mask(17, dims=(8, 8)))
+        forms = MaskForms(spectra.mask)
+        for lam in (-40.0, 0.0):
+            for problem in ("dirichlet", "bilaplacian_root", "buckling"):
+                assert forms.count(problem, lam) == spectra.count(problem, lam) == 0
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_masks_never_violate(self, seed):
