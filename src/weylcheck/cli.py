@@ -91,12 +91,10 @@ def _analytic_spectrum(spec: geometry.DomainSpec, lam_max: float):
     if spec.kind == "disk":
         # past its Bessel argument range the disk oracle is a configuration
         # error rather than a numerical failure
-        if math.sqrt(lam_max) * spec.r > oracles.BESSEL_ARG_LIMIT:
-            raise ConfigError(
-                f"--lam-max {lam_max} on a disk of radius {spec.r} needs "
-                f"Bessel arguments past {oracles.BESSEL_ARG_LIMIT}"
-            )
-        return oracles.disk_spectrum(spec.r, lam_max)
+        try:
+            return oracles.disk_spectrum(spec.r, lam_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"no analytic spectrum for domain kind {spec.kind!r}")
 
 
@@ -190,7 +188,7 @@ def cmd_cover(args, out: Path) -> dict:
         results["lambda"] = args.lam
         results["lower_bound"] = lb
         results["weyl_prediction"] = (
-            spectral.weyl_constant(2, cover.covered_volume) * args.lam
+            spectral.weyl_constant(2, cover.covered_volume) * max(args.lam, 0.0)
             if len(cover.corners) else 0.0
         )
     _write_csv(out / "cubes.csv", "x,y,side",

@@ -3,13 +3,14 @@
 Rectangle and interval spectra come from the classical separated
 eigenvalues. Disk eigenvalues are squared Bessel zeros from scipy's
 ``jn_zeros``; each zero is certified by a sign change of the ascending
-power series of J_k evaluated in extended precision, so the disk oracle
-shares no code with the grid solvers.
+power series of J_k evaluated in 50-digit decimal arithmetic, so the disk
+oracle shares no code with the grid solvers.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -23,8 +24,9 @@ def rectangle_spectrum(a: float, b: float, lam_max: float) -> Spectrum:
     """All values pi^2 (m^2/a^2 + n^2/b^2) strictly below lam_max."""
     if a <= 0 or b <= 0:
         raise ValueError("rectangle sides must be positive")
-    m_max = int(a * math.sqrt(lam_max) / math.pi) + 1
-    n_max = int(b * math.sqrt(lam_max) / math.pi) + 1
+    # nothing lies below lam_max <= 0: the sides then give one term each
+    m_max = int(a * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
+    n_max = int(b * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
     m = np.arange(1, m_max + 1)
     n = np.arange(1, n_max + 1)
     vals = math.pi**2 * (
@@ -38,7 +40,7 @@ def interval_spectrum(a: float, lam_max: float) -> Spectrum:
     """All values k^2 pi^2 / a^2 strictly below lam_max (simple)."""
     if a <= 0:
         raise ValueError("interval length must be positive")
-    k_max = int(a * math.sqrt(lam_max) / math.pi) + 1
+    k_max = int(a * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
     k = np.arange(1, k_max + 1)
     vals = (k * math.pi / a) ** 2
     return Spectrum("dirichlet", vals[vals < lam_max], cutoff=lam_max,
@@ -48,23 +50,23 @@ def interval_spectrum(a: float, lam_max: float) -> Spectrum:
 def bessel_j_series(order: int, x: float):
     """J_order(x) by the ascending power series at extended precision.
 
-    Alternating series with huge intermediate terms; extended precision
-    absorbs the cancellation. Valid for 0 <= x <= BESSEL_ARG_LIMIT.
+    Alternating series with huge intermediate terms; 50-digit decimal
+    arithmetic absorbs the cancellation. Valid for 0 <= x <= BESSEL_ARG_LIMIT.
     """
-    from mpmath import mp
-
     if x < 0 or x > BESSEL_ARG_LIMIT:
         raise ValueError(f"series argument {x} outside [0, {BESSEL_ARG_LIMIT}]")
-    with mp.workdps(_BESSEL_DPS):
-        xh = mp.mpf(x) / 2
-        term = xh**order / mp.factorial(order)
+    with localcontext() as ctx:
+        ctx.prec = _BESSEL_DPS
+        xh = Decimal(x) / 2
+        # Decimal(0) ** 0 is an invalid operation
+        term = (xh**order if order else Decimal(1)) / math.factorial(order)
         total = term
         m = 0
         while True:
             m += 1
             term *= -(xh * xh) / (m * (m + order))
             total += term
-            if abs(term) < mp.mpf(10) ** (-_BESSEL_DPS + 5) * (abs(total) + 1):
+            if abs(term) < Decimal(10) ** (-_BESSEL_DPS + 5) * (abs(total) + 1):
                 break
             if m > 400:
                 raise RuntimeError("Bessel series failed to terminate")
@@ -88,7 +90,7 @@ def disk_spectrum(r: float, lam_max: float) -> Spectrum:
     x_max = math.sqrt(lam_max) * r
     if x_max > BESSEL_ARG_LIMIT:
         raise ValueError(
-            f"lam_max={lam_max} needs Bessel arguments up to {x_max:.1f} > "
+            f"lam_max={lam_max} needs Bessel arguments up to {x_max:.6g} > "
             f"{BESSEL_ARG_LIMIT}; restrict lam_max"
         )
     vals = []

@@ -157,6 +157,17 @@ def test_cover_lam_without_cubes(tmp_path):
     assert results["weyl_prediction"] == 0.0
 
 
+def test_cover_negative_lam(square_json, tmp_path):
+    # no count is positive below zero: the bound and the prediction are 0
+    out = tmp_path / "cover"
+    assert main(["cover", "--domain", square_json, "--eta", "0.1",
+                 "--lam=-5", "-o", str(out)]) == 0
+    results = read_summary(out)["results"]
+    assert results["cubes"] == 196
+    assert results["lower_bound"] == 0
+    assert results["weyl_prediction"] == 0.0
+
+
 def test_count_not_bounded_by_dense_limit(square_json, tmp_path):
     # 9,801 nodes at h = 0.01, past the default dense limit of 8,192
     out = tmp_path / "count"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -57,6 +58,18 @@ class TestIntervalSpectrum:
         assert np.allclose(interval_spectrum(2, 30).values, expected[:3])
 
 
+@pytest.mark.parametrize("spectrum", [
+    lambda lam: rectangle_spectrum(1, 1, lam),
+    lambda lam: interval_spectrum(1, lam),
+], ids=["rectangle", "interval"])
+@pytest.mark.parametrize("lam", [-5.0, -1e-300, 0.0])
+def test_empty_below_nonpositive_cutoff(spectrum, lam):
+    # no Dirichlet value lies below lam_max <= 0
+    s = spectrum(lam)
+    assert len(s) == 0
+    assert s.cutoff == lam
+
+
 class TestBesselSeries:
     def test_j0_at_zero(self):
         assert bessel_j_series(0, 0.0) == 1.0
@@ -83,6 +96,13 @@ class TestBesselSeries:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             bessel_j_series(0, 61.0)
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 20, 59])
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 1.0, 14.93, 30.0, 58.0, 60.0])
+    def test_matches_mpmath_besselj(self, order, x):
+        # an independent reference over the whole range; J_k(0) = 0 for k > 0
+        assert bessel_j_series(order, x) == pytest.approx(
+            float(mpmath.besselj(order, x)), rel=0, abs=1e-15)
 
 
 def simple_roots(spectrum):
@@ -161,15 +181,25 @@ class TestDiskSpectrum:
         assert 0.8 * weyl < n < weyl
 
 
-def test_import_loads_neither_scipy_special_nor_mpmath():
-    # both load on first use, so the set-up cost of a run does not pay them
+def loaded_modules(code):
+    """Names of the modules loaded after running code in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, weylcheck; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'mpmath'"
-         " or m.startswith('scipy.special')))"],
+        [sys.executable, "-c",
+         code + "; import json, sys; print(json.dumps(sorted(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return json.loads(run.stdout)
+
+
+def test_import_loads_neither_scipy_special_nor_mpmath():
+    # scipy.special loads on first use, so the set-up cost of a run does not
+    # pay it; mpmath is a test dependency only, and the disk oracle's
+    # certificate runs without it
+    assert not [m for m in loaded_modules("import weylcheck")
+                if m.split(".")[0] == "mpmath" or m.startswith("scipy.special")]
+    assert not [m for m in loaded_modules(
+        "from weylcheck.oracles import disk_spectrum; disk_spectrum(1, 900)")
+        if m.split(".")[0] == "mpmath"]
