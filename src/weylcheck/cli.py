@@ -21,6 +21,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
+SOLVE_TOL = 1e-8  # default residual tolerance of the sparse solves
+
 
 class ConfigError(ValueError):
     pass
@@ -112,6 +114,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_solve(args, out: Path) -> dict:
+    if args.problem == "buckling" and args.tol != SOLVE_TOL:
+        raise ConfigError("--tol does not apply to --problem buckling: the "
+                          "pencil is solved densely and has no tolerance")
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     forms = spectral.MaskForms(mask)
     if args.problem == "dirichlet":
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=positive_int, default=10)
     p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
                    default="dirichlet")
-    p.add_argument("--tol", type=positive, default=1e-8)
+    p.add_argument("--tol", type=positive, default=SOLVE_TOL)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("count",

@@ -42,6 +42,7 @@ class SymmetricOperator:
             raise AssemblyError("operator must be square")
         if (m - m.T).nnz and abs(m - m.T).max() > 0:
             raise AssemblyError("operator must be exactly symmetric")
+        m.sum_duplicates()  # each entry stored once: data @ data = ||M||_F^2
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -20,28 +20,49 @@ BESSEL_ARG_LIMIT = 60.0  # series validated up to here at 50 digits
 _BESSEL_DPS = 50
 
 
+def _terms(side: float, lam_max: float) -> int:
+    """Largest index a side needs below lam_max; nothing lies below
+    lam_max <= 0, and the side then gives one term."""
+    return int(side * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
+
+
+def _rectangle_values(m, n, a: float, b: float):
+    return math.pi**2 * ((m / a) ** 2 + (n / b) ** 2)
+
+
 def rectangle_spectrum(a: float, b: float, lam_max: float) -> Spectrum:
     """All values pi^2 (m^2/a^2 + n^2/b^2) strictly below lam_max."""
     if a <= 0 or b <= 0:
         raise ValueError("rectangle sides must be positive")
-    # nothing lies below lam_max <= 0: the sides then give one term each
-    m_max = int(a * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
-    n_max = int(b * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
-    m = np.arange(1, m_max + 1)
-    n = np.arange(1, n_max + 1)
-    vals = math.pi**2 * (
-        (m[:, None] / a) ** 2 + (n[None, :] / b) ** 2
-    ).ravel()
+    m = np.arange(1, _terms(a, lam_max) + 1)
+    n = np.arange(1, _terms(b, lam_max) + 1)
+    vals = _rectangle_values(m[:, None], n[None, :], a, b).ravel()
     return Spectrum("dirichlet", vals[vals < lam_max], cutoff=lam_max,
                     source="analytic")
+
+
+def rectangle_count(a: float, b: float, lam_max: float) -> int:
+    """``len(rectangle_spectrum(a, b, lam_max))`` in O(a sqrt(lam_max))
+    memory. The computed value is nondecreasing in n, so each row m counts
+    its n by a bisection that builds the largest n below lam_max bit by bit,
+    all rows at once."""
+    if a <= 0 or b <= 0:
+        raise ValueError("rectangle sides must be positive")
+    m = np.arange(1, _terms(a, lam_max) + 1)
+    n_max = _terms(b, lam_max)
+    count = np.zeros_like(m)
+    for bit in reversed(range(n_max.bit_length())):
+        trial = count + (1 << bit)
+        below = (trial <= n_max) & (_rectangle_values(m, trial, a, b) < lam_max)
+        count = np.where(below, trial, count)
+    return int(count.sum())
 
 
 def interval_spectrum(a: float, lam_max: float) -> Spectrum:
     """All values k^2 pi^2 / a^2 strictly below lam_max (simple)."""
     if a <= 0:
         raise ValueError("interval length must be positive")
-    k_max = int(a * math.sqrt(max(lam_max, 0.0)) / math.pi) + 1
-    k = np.arange(1, k_max + 1)
+    k = np.arange(1, _terms(a, lam_max) + 1)
     vals = (k * math.pi / a) ** 2
     return Spectrum("dirichlet", vals[vals < lam_max], cutoff=lam_max,
                     source="analytic")

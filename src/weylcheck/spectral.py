@@ -25,7 +25,7 @@ from .eigensolve import (
     inertia_count,
 )
 from .geometry import CubeCover, GeometryError, GridMask
-from .oracles import rectangle_spectrum
+from .oracles import rectangle_count
 
 
 class InvariantViolation(AssertionError):
@@ -253,8 +253,7 @@ def cube_lower_bound(cover: CubeCover, lam: float) -> int:
     one cube of side eta/sqrt(2), times the number of disjoint cubes."""
     if len(cover.corners) == 0:
         return 0
-    per_cube = len(rectangle_spectrum(cover.side, cover.side, lam))
-    return per_cube * len(cover.corners)
+    return rectangle_count(cover.side, cover.side, lam) * len(cover.corners)
 
 
 # -- Weyl ratio ------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_solve_cutoff_is_largest_value(square_json, tmp_path):
         assert header.endswith(f" cutoff={values[-1]!r}")
 
 
+def test_solve_buckling_takes_only_the_default_tol(square_json, tmp_path):
+    # the pencil is solved densely; --tol 1e-300 is refused in
+    # test_out_of_range_option_is_config_error
+    runs = [[], ["--tol", "1e-8"]]
+    for i, extra in enumerate(runs):
+        assert main(["solve", "--domain", square_json, "--h", "0.1", "--k", "3",
+                     "--problem", "buckling", *extra,
+                     "-o", str(tmp_path / str(i))]) == 0
+    first, second = ((tmp_path / str(i) / "summary.json").read_bytes()
+                     for i in range(len(runs)))
+    assert first == second
+
+
 def test_count_matches_solve(square_json, tmp_path):
     out = tmp_path / "out"
     assert main(["count", "--domain", square_json, "--h", "0.1",
@@ -155,6 +168,23 @@ def test_cover_lam_without_cubes(tmp_path):
     assert results["cubes"] == 0
     assert results["lower_bound"] == 0
     assert results["weyl_prediction"] == 0.0
+
+
+def test_cover_large_lam(square_json, tmp_path):
+    # 22,508 terms a side: each row is counted, no table is built
+    out = tmp_path / "cover"
+    assert main(["cover", "--domain", square_json, "--eta", "0.1",
+                 "--lam", "1e12", "-o", str(out)]) == 0
+    results = read_summary(out)["results"]
+    side, lam = results["side"], 1e12
+    per_cube, rest = divmod(results["lower_bound"], results["cubes"])
+    assert rest == 0
+    # two-term Weyl law of the square: s^2 lam / 4 pi - s sqrt(lam) / pi
+    boundary = side * math.sqrt(lam) / math.pi
+    assert abs(per_cube - (side**2 * lam / (4 * math.pi) - boundary)) \
+        < 0.01 * boundary
+    assert exit_code(["cover", "--domain", square_json, "--eta", "0.1",
+                      "--lam", "1e300", "-o", str(tmp_path / "huge")]) == 3
 
 
 def test_cover_negative_lam(square_json, tmp_path):
@@ -297,6 +327,8 @@ def test_non_finite_option_is_config_error(square_json, tmp_path, args):
     ["karamata", "--domain", "SQUARE", "--lam-max", "-1"],
     ["oracle", "--rectangle", "1", "1", "--disk", "1", "--lam-max", "100"],
     ["super", "--domain", "SQUARE", "--h", "0.1", "--seed", "-1"],
+    ["solve", "--domain", "SQUARE", "--h", "0.1", "--problem", "buckling",
+     "--tol", "1e-300"],
 ])
 def test_out_of_range_option_is_config_error(square_json, tmp_path, args):
     out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ def grid_rectangle_spectrum(a, b, h):
     return np.sort(values.ravel())
 
 
+def traced_peak(f, *args):
+    """Result of f(*args) and the peak of memory allocated during the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def csr_parts(op):
+    m = op.matrix
+    return [x.copy() for x in (m.data, m.indices, m.indptr)]
+
+
+def assert_same_parts(op, parts):
+    for x, y in zip(csr_parts(op), parts):
+        assert np.array_equal(x, y)
+
+
+@pytest.fixture
+def square_mask_32():
+    # 961 nodes
+    return rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 32)
+
+
 class TestSpectrum:
     def test_sorted_and_positive(self):
         s = Spectrum("dirichlet", [3.0, 1.0, 2.0])
@@ -106,6 +132,24 @@ class TestDenseSpectrum:
         with pytest.raises(SolverError):
             dense_spectrum(big)
 
+    def test_one_copy_reduced_in_place(self, square_mask_32):
+        # one n x n copy and LAPACK's O(n) workspace; two copies at 2 n^2 * 8 B
+        op = assemble_dirichlet_laplacian(square_mask_32)
+        n, parts = op.n_rows, csr_parts(op)
+        spectrum, peak = traced_peak(dense_spectrum, op)
+        assert peak <= 1.25 * n * n * 8
+        assert np.array_equal(spectrum.values,
+                              la.eigh(op.dense(), eigvals_only=True))
+        assert_same_parts(op, parts)
+
+    def test_duplicate_entries_summed(self):
+        # a CSR matrix may store an entry twice; the Frobenius identity
+        # needs each stored once
+        m = sp.csr_matrix((np.array([1.0, 3.0, 2.0]), np.array([0, 0, 1]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+        assert dense_spectrum(SymmetricOperator(m)).values == pytest.approx(
+            [2.0, 4.0])
+
     @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
                                           assemble_clamped_bilaplacian])
     def test_moved_value_raises(self, assemble, monkeypatch):
@@ -137,6 +181,18 @@ class TestGeneralizedSpectrum:
         c = la.solve_triangular(r, rt_inv_b.T, trans="T")
         ref = np.linalg.eigvalsh(0.5 * (c + c.T))
         assert np.allclose(mu, ref, rtol=1e-9)
+
+    def test_one_copy_each_reduced_in_place(self, square_mask_32):
+        # one copy of each matrix, against four with scipy's default copies
+        pencil = assemble_buckling_pencil(square_mask_32)
+        n = pencil.n_rows
+        parts = csr_parts(pencil.a), csr_parts(pencil.b)
+        spectrum, peak = traced_peak(generalized_spectrum, pencil)
+        assert peak <= 2.25 * n * n * 8
+        ref = la.eigh(pencil.b.dense(), pencil.a.dense(), eigvals_only=True)
+        assert np.allclose(spectrum.values, ref, rtol=1e-10, atol=0)
+        assert_same_parts(pencil.a, parts[0])
+        assert_same_parts(pencil.b, parts[1])
 
     def test_truncated_cutoff(self):
         mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)

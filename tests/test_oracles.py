@@ -15,6 +15,7 @@ from weylcheck.oracles import (
     bessel_j_series,
     disk_spectrum,
     interval_spectrum,
+    rectangle_count,
     rectangle_spectrum,
 )
 
@@ -42,6 +43,15 @@ class TestRectangleSpectrum:
     def test_strict_cutoff(self):
         s = rectangle_spectrum(1, 1, 2 * PI2)
         assert len(s) == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_count_equals_length(self, seed):
+        # thresholds at computed values test the strict inequality
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.05, 3.0, size=2)
+        values = rectangle_spectrum(a, b, 1e4).values
+        for lam in [*rng.choice(values, 5), *rng.uniform(-1.0, 1e4, 5)]:
+            assert rectangle_count(a, b, lam) == len(rectangle_spectrum(a, b, lam))
 
 
 class TestIntervalSpectrum:
