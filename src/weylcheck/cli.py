@@ -118,6 +118,8 @@ def cmd_solve(args, out: Path) -> dict:
         raise ConfigError("--tol does not apply to --problem buckling: the "
                           "pencil is solved densely and has no tolerance")
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    if args.k > mask.n_nodes:
+        raise ConfigError(f"--k {args.k} exceeds the {mask.n_nodes} grid nodes")
     forms = spectral.MaskForms(mask)
     if args.problem == "dirichlet":
         result = eigensolve.lowest_k(forms.a, args.k, tol=args.tol)

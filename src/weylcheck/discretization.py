@@ -1,18 +1,19 @@
 """Finite-difference quadratic forms on grid masks.
 
-Three forms on the interior nodes of a mask, all with nodal mass h^2 * I:
+All three forms on the interior nodes of a mask, with nodal mass h^2 * I,
+come from one factor D, which maps an interior vector to the 5-point
+Laplacian of its zero-extension on the full lattice, scaled 1/h^2:
 
-* A: Dirichlet energy, the 5-point Laplacian with extension by zero,
-  scaled 1/h^2.
-* B: square of the zero-extended Laplacian, B = D^T D, where D maps an
-  interior vector to the 5-point Laplacian of its zero-extension on the
-  full lattice (a 13-point stencil in the bulk), scaled 1/h^4.
+* A = E^T D for the zero-extension E: the rows of D at the interior
+  nodes, the 5-point Dirichlet Laplacian, scaled 1/h^2.
+* B = D^T D: the clamped bilaplacian (a 13-point stencil in the bulk),
+  scaled 1/h^4.
 * The buckling pencil (B, A).
 
-Because B is defined as D^T D, the discrete counterparts of the
-Cauchy-Schwarz chain and of superadditivity are exact identities:
-<A u, u> = <D u, E u> for the zero-extension E, and restricting a mask
-restricts all three forms without changing any matrix entry.
+So the discrete counterparts of the Cauchy-Schwarz chain and of
+superadditivity are exact identities by construction: <A u, u> =
+<D u, E u>, and restricting a mask restricts all three forms without
+changing any matrix entry.
 """
 
 from __future__ import annotations
@@ -75,76 +76,40 @@ class OperatorPencil:
         return self.a.n_rows
 
 
-def _neighbor_pairs(mask: GridMask):
-    """(i-indices, j-indices) of interior-interior 4-neighbor pairs, and the
-    node index array."""
-    idx = mask.node_index()
-    pairs = []
-    nx, ny = mask.dims
-    interior = mask.interior
-    right = interior[:-1, :] & interior[1:, :]
-    up = interior[:, :-1] & interior[:, 1:]
-    ri, rj = np.nonzero(right)
-    ui, uj = np.nonzero(up)
-    rows = np.concatenate([idx[ri, rj], idx[ui, uj]])
-    cols = np.concatenate([idx[ri + 1, rj], idx[ui, uj + 1]])
-    return rows, cols, idx
-
-
-def assemble_dirichlet_laplacian(mask: GridMask) -> SymmetricOperator:
-    """5-point Laplacian with extension by zero, scaled 1/h^2."""
-    if mask.n_nodes == 0:
-        raise AssemblyError("cannot assemble on an empty mask")
-    n = mask.n_nodes
-    rows, cols, _ = _neighbor_pairs(mask)
-    scale = 1.0 / mask.h**2
-    diag = sp.eye(n, format="coo") * (4.0 * scale)
-    off = sp.coo_matrix(
-        (np.full(rows.size, -scale), (rows, cols)), shape=(n, n)
-    )
-    matrix = (diag + off + off.T).tocsr()
-    return SymmetricOperator(matrix, mask)
-
-
 def extension_laplacian_factor(mask: GridMask) -> sp.csr_matrix:
     """D: interior vector -> 5-point Laplacian of its zero-extension on the
     padded lattice (one ring around the bounding box), scaled 1/h^2.
 
-    Row order is the dense enumeration of padded lattice nodes; rows not
-    touching the interior are zero.
+    Rows enumerate the padded lattice nodes densely, columns the interior
+    nodes in node order; rows not touching the interior are zero.
     """
     if mask.n_nodes == 0:
         raise AssemblyError("cannot assemble on an empty mask")
-    nx, ny = mask.dims
-    px, py = nx + 2, ny + 2
-    idx = mask.node_index()
+    n, py = mask.n_nodes, mask.dims[1] + 2
     scale = 1.0 / mask.h**2
-
-    def prow(i, j):  # padded lattice row index of mask node (i, j)
-        return (i + 1) * py + (j + 1)
-
     ii, jj = np.nonzero(mask.interior)
-    col = idx[ii, jj]
-    rows = [prow(ii, jj)]
-    cols = [col]
-    vals = [np.full(col.size, 4.0 * scale)]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        rows.append(prow(ii + di, jj + dj))
-        cols.append(col)
-        vals.append(np.full(col.size, -scale))
-    d = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(px * py, mask.n_nodes),
-    )
+    rows = np.concatenate([(ii + 1 + di) * py + (jj + 1 + dj) for di, dj in
+                           ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))])
+    vals = np.repeat([4.0 * scale, -scale, -scale, -scale, -scale], n)
+    d = sp.coo_matrix((vals, (rows, np.tile(np.arange(n), 5))),
+                      shape=((mask.dims[0] + 2) * py, n))
     return d.tocsr()
 
 
-def assemble_clamped_bilaplacian(mask: GridMask) -> SymmetricOperator:
-    """B = D^T D; the 13-point bilaplacian in the bulk, scaled 1/h^4."""
+def assemble_dirichlet_laplacian(mask: GridMask) -> SymmetricOperator:
+    """A = E^T D: the rows of D at the interior nodes, the 5-point Laplacian
+    with extension by zero, scaled 1/h^2."""
     d = extension_laplacian_factor(mask)
-    b = (d.T @ d).tocsr()
-    b = ((b + b.T) * 0.5).tocsr()  # symmetrize away roundoff asymmetry
-    return SymmetricOperator(b, mask)
+    return SymmetricOperator(d[np.flatnonzero(np.pad(mask.interior, 1))], mask)
+
+
+def assemble_clamped_bilaplacian(mask: GridMask) -> SymmetricOperator:
+    """B = D^T D; the 13-point bilaplacian in the bulk, scaled 1/h^4.
+
+    Entries (i, j) and (j, i) sum the same products D[r, i] * D[r, j] in
+    the same order of r, so B is exactly symmetric."""
+    d = extension_laplacian_factor(mask)
+    return SymmetricOperator((d.T @ d).tocsr(), mask)
 
 
 def assemble_buckling_pencil(mask: GridMask) -> OperatorPencil:

@@ -66,10 +66,10 @@ class Spectrum:
                 fh.write(f"{i},{float(v)!r}\n")
 
 
-def _check_dense(op: SymmetricOperator):
-    if op.n_rows > DENSE_LIMIT:
+def _check_dense(n: int):
+    if n > DENSE_LIMIT:
         raise SolverError(
-            f"dense solve refused: n={op.n_rows} exceeds limit {DENSE_LIMIT}"
+            f"dense solve refused: n={n} exceeds limit {DENSE_LIMIT}"
         )
 
 
@@ -81,7 +81,7 @@ def dense_spectrum(op: SymmetricOperator) -> Spectrum:
     The matrix is densified once, in LAPACK's column-major layout, and the
     reduction overwrites that copy; the identities read the sparse matrix,
     whose CSR storage holds each entry once."""
-    _check_dense(op)
+    _check_dense(op.n_rows)
     w = la.eigh(op.matrix.toarray(order="F"), eigvals_only=True,
                 overwrite_a=True)
     scale = max(op.norm_estimate(), 1.0)
@@ -107,7 +107,7 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectr
     ``sygv``: scipy's default ``sygvd`` runs without a workspace query, so
     LAPACK gets its minimum workspace and reduces unblocked, about twice as
     slow at a few thousand nodes."""
-    _check_dense(pencil.a)
+    _check_dense(pencil.n_rows)
     try:
         w = la.eigh(pencil.b.matrix.toarray(order="F"),
                     pencil.a.matrix.toarray(order="F"), eigvals_only=True,
@@ -129,10 +129,13 @@ def _complete_multiplicities(lu, w, v, k, tol, rng):
     complement of the found vectors, from a fresh random vector (the first
     start vector has no component along a missed copy); a value at most
     the k-th one (with ties at relative 10 * tol) joins the spectrum, and
-    the probing stops at the first value above it. A Ritz pair of the
-    inverse at ARPACK's relative tolerance tol / 10 has a residual in A
-    below tol * |A| / 10, inside the check that lowest_k applies; eight
-    Lanczos vectors keep the probe's memory to a few copies of v.
+    the probing stops at the first value above it. A Ritz pair (1/w, x) of
+    the inverse at ARPACK's relative tolerance tol / 10 leaves its residual
+    along the next Lanczos vector, which the inverse has smoothed, so its
+    residual in A is of the order of tol * w / 10 rather than tol * |A| /
+    10, inside the check tol * w + eps * |A| that lowest_k applies (a pair
+    that misses it raises there); eight Lanczos vectors keep the probe's
+    memory to a few copies of v.
     """
     n = v.shape[0]
     while v.shape[1] < n:
@@ -157,7 +160,8 @@ def _complete_multiplicities(lu, w, v, k, tol, rng):
 def _block_lowest(m: sp.csr_matrix, k: int, tol: float):
     """Lowest k eigenpairs of one connected block: ARPACK's shift-invert
     Lanczos at zero from a fixed-seed random vector, completed by
-    _complete_multiplicities; dense for k = n, which ARPACK cannot do.
+    _complete_multiplicities; dense for k = n, which ARPACK cannot do, and
+    refused like every dense solve above DENSE_LIMIT.
 
     The block is symmetric positive definite, so elimination is stable
     without row interchanges: SuperLU factors it in symmetric mode (a
@@ -165,6 +169,7 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float):
     fill of its default column order and partial pivoting."""
     n = m.shape[0]
     if k == n:
+        _check_dense(n)
         return la.eigh(m.toarray())
     rng = np.random.default_rng(0)
     lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -182,9 +187,13 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     that copies of a block's spectrum in disjoint pieces of the domain are
     exact; within a block, missed copies of repeated eigenvalues are added
     by deflated probes. Start vectors are fixed-seed random, so reruns are
-    bit-identical. Every returned pair must satisfy ||A v - w v|| <= tol *
-    |A|, or SolverError is raised. A truncated spectrum is cut off at its
-    largest value, below which every eigenvalue is returned."""
+    bit-identical. Every returned pair must satisfy ||A v - w v|| <=
+    min(tol * |A|, tol * |w| + eps * |A|), or SolverError is raised: the
+    second bound is relative to the value itself, up to the rounding of
+    the residual's own evaluation, so it still means something where |A|
+    is many orders above the lowest values, as for the bilaplacian. A
+    truncated spectrum is cut off at its largest value, below which every
+    eigenvalue is returned."""
     n = op.n_rows
     if not 1 <= k <= n:
         raise SolverError(f"k={k} out of range for n={n}")
@@ -198,14 +207,20 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
             w, v = _block_lowest(m, min(k, idx.size), tol)
             values.append(w)
             resid.append(np.linalg.norm(m @ v - v * w, axis=0))
+    except SolverError:
+        raise
     except (RuntimeError, la.LinAlgError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    resid = np.concatenate(resid)
-    if np.any(resid > tol * max(op.norm_estimate(), 1.0)):
+    resid, w = np.concatenate(resid), np.concatenate(values)
+    scale = max(op.norm_estimate(), 1.0)
+    bound = np.minimum(tol * scale, tol * np.abs(w) + np.finfo(float).eps * scale)
+    if np.any(resid > bound):
+        i = np.argmax(resid - bound)
         raise SolverError(
-            f"residual {resid.max():.3e} exceeds {tol:g}*|A| for some pair"
+            f"residual {resid[i]:.3e} of the pair at {w[i]:.6g} exceeds "
+            f"min({tol:g}*|A|, {tol:g}*|w| + eps*|A|) = {bound[i]:.3e}"
         )
-    w = np.sort(np.concatenate(values))[:k]
+    w = np.sort(w)[:k]
     if w[0] <= 0:
         raise SolverError(f"operator is not positive definite: eigenvalue "
                           f"{w[0]:.3e}")

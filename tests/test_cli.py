@@ -156,6 +156,19 @@ def test_karamata_interval(tmp_path):
     assert results["constant_term"] == 0.0
 
 
+def test_karamata_disk_t_grid(tmp_path):
+    # the disk oracle stops at lam = 3600, so the tail is untrusted below
+    # t = 1.3e-3: the default t-grid keeps less than a decade, the one the
+    # README gives for the disk fits
+    disk = tmp_path / "disk.json"
+    disk.write_text('{"kind": "disk", "r": 1.0}')
+    argv = ["karamata", "--domain", str(disk), "--lam-max", "3600"]
+    assert main([*argv, "-o", str(tmp_path / "o1")]) == 3
+    out = tmp_path / "o2"
+    assert main([*argv, "--t-grid", "log:1e-2:1e-1:12", "-o", str(out)]) == 0
+    assert read_summary(out)["results"]["relative_error"] < 1e-3
+
+
 def test_cover_lam_without_cubes(tmp_path):
     (tmp_path / "ring.txt").write_text(
         "..........\n.########.\n.########.\n..........\n")
@@ -329,6 +342,9 @@ def test_non_finite_option_is_config_error(square_json, tmp_path, args):
     ["super", "--domain", "SQUARE", "--h", "0.1", "--seed", "-1"],
     ["solve", "--domain", "SQUARE", "--h", "0.1", "--problem", "buckling",
      "--tol", "1e-300"],
+    # --k past the 9 nodes at h = 0.25, for each problem
+    *(["solve", "--domain", "SQUARE", "--h", "0.25", "--k", "10", "--problem",
+       p] for p in ("dirichlet", "bilaplacian", "buckling")),
 ])
 def test_out_of_range_option_is_config_error(square_json, tmp_path, args):
     out = tmp_path / "o"

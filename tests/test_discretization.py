@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -128,6 +129,58 @@ def test_cauchy_schwarz_identity(seed):
         ext[(ii + 1) * (ny + 2) + (jj + 1)] = u
         assert au == pytest.approx(du @ ext, rel=1e-12)
         assert au <= math.sqrt(bu * uu) * (1 + 1e-12)
+
+
+def reference_forms(mask):
+    """A * h^2 and B * h^4 as integer arrays, by explicit loops over the
+    padded lattice: column p of D * h^2 is 4 at node p and -1 at each of
+    its four neighbors, inside the mask or not."""
+    nx, ny = mask.dims
+    index = {}
+    for ij in itertools.product(range(nx), range(ny)):
+        if mask.interior[ij]:
+            index[ij] = len(index)
+    n = len(index)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    a = np.zeros((n, n), dtype=np.int64)
+    for (i, j), p in index.items():
+        a[p, p] = 4
+        for di, dj in steps:
+            if (i + di, j + dj) in index:
+                a[p, index[i + di, j + dj]] = -1
+    b = np.zeros((n, n), dtype=np.int64)
+    for i, j in itertools.product(range(-1, nx + 1), range(-1, ny + 1)):
+        # row (i, j) of D * h^2: the nodes whose stencil reaches (i, j)
+        row = {index[i, j]: 4} if (i, j) in index else {}
+        for di, dj in steps:
+            if (i + di, j + dj) in index:
+                row[index[i + di, j + dj]] = -1
+        for (p, dp), (q, dq) in itertools.product(row.items(), repeat=2):
+            b[p, q] += dp * dq
+    return a, b
+
+
+def lattice_mask(rows):
+    """Mask from ASCII rows, '#' interior, first row at x index 0."""
+    interior = np.array([[c == "#" for c in r] for r in rows])
+    return GridMask(0.5, (0.0, 0.0), interior.shape, interior)
+
+
+@pytest.mark.parametrize("mask", [
+    lattice_mask(["#"]),
+    lattice_mask(["#####"]),
+    lattice_mask(["#.#", "#.#", "#.#"]),  # one-node gap between columns
+    lattice_mask(["#.#.", ".#.#", "#.#.", ".#.#"]),  # diagonal neighbors only
+    lattice_mask(["##.##", "#...#", "##.##"]),
+    *(random_mask(seed, dims=dims, h=0.5)
+      for seed, dims in enumerate([(9, 9), (3, 14), (14, 3), (6, 11)] * 3)),
+])
+def test_forms_match_explicit_loops(mask):
+    # at h = 0.5 every entry is an integer multiple of 1/h^2 = 4, so the
+    # comparison is exact
+    a, b = reference_forms(mask)
+    assert np.array_equal(assemble_dirichlet_laplacian(mask).dense(), a * 4.0)
+    assert np.array_equal(assemble_clamped_bilaplacian(mask).dense(), b * 16.0)
 
 
 def test_restriction_consistency():

@@ -18,6 +18,7 @@ from weylcheck.discretization import (
 from weylcheck.geometry import DomainSpec, rasterize
 from weylcheck.heat import heat_trace
 from weylcheck.spectral import MaskForms, counting, verify_chain
+from weylcheck import eigensolve
 from weylcheck.eigensolve import (
     ShiftOnEigenvalueError,
     SolverError,
@@ -298,6 +299,33 @@ class TestLowestK:
         a = assemble_dirichlet_laplacian(random_mask(5, dims=(12, 12)))
         with pytest.raises(SolverError):
             lowest_k(a, 3, tol=0.0)
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_moved_value_fails_residual_check(self, assemble, monkeypatch):
+        # on the 1/24 disk, tol * |A| admits a lowest value moved by 1e-6
+        # relative, 8 times over for A and 2,000 times over for B;
+        # tol * w + eps * |A| does not
+        op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
+        block_lowest = eigensolve._block_lowest
+
+        def moved(m, k, tol):
+            w, v = block_lowest(m, k, tol)
+            return w * np.r_[1 + 1e-6, np.ones(k - 1)], v
+
+        monkeypatch.setattr(eigensolve, "_block_lowest", moved)
+        with pytest.raises(SolverError, match="residual"):
+            lowest_k(op, 20)
+
+    def test_dense_block_past_the_limit_refused(self, monkeypatch):
+        # k = n densifies the block, which past DENSE_LIMIT is refused like
+        # every other dense solve; k < n stays sparse
+        op = assemble_dirichlet_laplacian(
+            rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 8))
+        monkeypatch.setattr(eigensolve, "DENSE_LIMIT", op.n_rows - 1)
+        with pytest.raises(SolverError, match="dense solve refused"):
+            lowest_k(op, op.n_rows)
+        assert len(lowest_k(op, op.n_rows - 1)) == op.n_rows - 1
 
     def test_truncated_cutoff(self):
         # 5 of the 225 eigenvalues below 1e4 on the 1/16 square: counting
