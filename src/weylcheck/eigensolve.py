@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import blas, lapack
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -134,8 +135,8 @@ def _complete_multiplicities(lu, w, v, k, tol, rng):
     along the next Lanczos vector, which the inverse has smoothed, so its
     residual in A is of the order of tol * w / 10 rather than tol * |A| /
     10, inside the check tol * w + eps * |A| that lowest_k applies (a pair
-    that misses it raises there); eight Lanczos vectors keep the probe's
-    memory to a few copies of v.
+    that misses it is refined in _block_lowest); eight Lanczos vectors keep
+    the probe's memory to a few copies of v.
     """
     n = v.shape[0]
     while v.shape[1] < n:
@@ -157,11 +158,25 @@ def _complete_multiplicities(lu, w, v, k, tol, rng):
     return w[:k], v[:, :k]
 
 
-def _block_lowest(m: sp.csr_matrix, k: int, tol: float):
+def _residuals(m, w, v) -> np.ndarray:
+    return np.linalg.norm(m @ v - v * w, axis=0)
+
+
+def _residual_bound(w, tol: float, scale: float) -> np.ndarray:
+    """The residual each pair must meet: min(tol * |A|, tol * |w| + eps * |A|)."""
+    return np.minimum(tol * scale, tol * np.abs(w) + np.finfo(float).eps * scale)
+
+
+def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float):
     """Lowest k eigenpairs of one connected block: ARPACK's shift-invert
     Lanczos at zero from a fixed-seed random vector, completed by
     _complete_multiplicities; dense for k = n, which ARPACK cannot do, and
-    refused like every dense solve above DENSE_LIMIT.
+    refused like every dense solve above DENSE_LIMIT. When a pair misses the
+    residual bound of lowest_k for the operator scale, the block's pairs
+    take one step of inverse iteration with the block's factor and a
+    Rayleigh-Ritz step on the span: ARPACK leaves a probe's residual along
+    the next Lanczos vector, and the inverse damps it by the ratio of the
+    eigenvalues. Pairs that meet the bound are returned untouched.
 
     The block is symmetric positive definite, so elimination is stable
     without row interchanges: SuperLU factors it in symmetric mode (a
@@ -177,7 +192,12 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float):
     w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
                       OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
                       tol=tol / 10)
-    return _complete_multiplicities(lu, w, v, k, tol, rng)
+    w, v = _complete_multiplicities(lu, w, v, k, tol, rng)
+    if np.any(_residuals(m, w, v) > _residual_bound(w, tol, scale)):
+        q = np.linalg.qr(lu.solve(v))[0]
+        w, s = la.eigh(q.T @ (m @ q))
+        v = q @ s
+    return w, v
 
 
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
@@ -200,20 +220,20 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     n_blocks, labels = csgraph.connected_components(op.matrix, directed=False)
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    scale = max(op.norm_estimate(), 1.0)
     values, resid = [], []
     try:
         for idx in blocks:
             m = op.matrix if n_blocks == 1 else op.matrix[idx][:, idx]
-            w, v = _block_lowest(m, min(k, idx.size), tol)
+            w, v = _block_lowest(m, min(k, idx.size), tol, scale)
             values.append(w)
-            resid.append(np.linalg.norm(m @ v - v * w, axis=0))
+            resid.append(_residuals(m, w, v))
     except SolverError:
         raise
     except (RuntimeError, la.LinAlgError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
     resid, w = np.concatenate(resid), np.concatenate(values)
-    scale = max(op.norm_estimate(), 1.0)
-    bound = np.minimum(tol * scale, tol * np.abs(w) + np.finfo(float).eps * scale)
+    bound = _residual_bound(w, tol, scale)
     if np.any(resid > bound):
         i = np.argmax(resid - bound)
         raise SolverError(
@@ -243,38 +263,91 @@ def _slab_order(target) -> np.ndarray | None:
     return grid.node_index().T[grid.interior.T]
 
 
+def _ldl_update(s: np.ndarray, e: np.ndarray, tol: float):
+    """Number of negative eigenvalues of the symmetric s and the update
+    e^T s^-1 e, from the Bunch-Kaufman factor s = P L D L^T P^T (LAPACK's
+    ``dsytrf`` with its queried workspace, converted by ``dsyconv``); only
+    the lower triangle of s is read. None when s is numerically singular:
+    ``dsytrf`` reports an exactly zero pivot, or a 1x1 or 2x2 pivot block of
+    D has an eigenvalue of magnitude at most tol.
+
+    By Sylvester's law s has the inertia of D, whose blocks are diagonalized
+    in closed form. The update is Y^T D^-1 Y with Y = L^-1 P^T e, from one
+    triangular solve; ``dsyconv`` leaves the interchanges of P^T as the
+    forward row swaps that ``dlaswp`` applies, the first row of each 2x2
+    block swapping with itself. Every BLAS call, the product included, goes
+    to scipy's BLAS: numpy links its own copy of OpenBLAS, and switching
+    between the two thread pools costs milliseconds per call."""
+    lwork = int(lapack.dsytrf_lwork(s.shape[0], lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(s, lower=1, lwork=lwork)
+    if info != 0:
+        return None
+    ldu, off, _ = lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
+    k = np.flatnonzero(ipiv < 0)[::2]  # first rows of the 2x2 blocks
+    d = np.diagonal(ldu)
+    a, c, b = d[k], d[k + 1], off[k]
+    det = a * c - b * b
+    big = 0.5 * (a + c)
+    big += np.copysign(np.hypot(0.5 * (a - c), b), big)
+    lam = d.copy()
+    lam[k], lam[k + 1] = big, det / big
+    if np.abs(lam).min() <= tol:
+        return None
+    piv = np.abs(ipiv) - 1
+    piv[k] = k
+    y = blas.dtrsm(1.0, ldu, lapack.dlaswp(e, piv), lower=1, diag=1,
+                   overwrite_b=1)
+    inv = 1.0 / lam
+    inv[k], inv[k + 1] = c / det, a / det
+    z = y * inv[:, None]
+    z[k] -= (b / det)[:, None] * y[k + 1]
+    z[k + 1] -= (b / det)[:, None] * y[k]
+    return int((lam < 0).sum()), blas.dgemm(1.0, y, z, trans_a=1)
+
+
 def _slab_inertia(m: sp.csr_matrix, scale: float) -> int:
     """Number of negative eigenvalues of a sparse symmetric matrix by block
     elimination over slabs of consecutive rows.
 
-    Slabs as wide as the half-bandwidth make the matrix block tridiagonal,
+    Slabs as wide as the half-bandwidth w make the matrix block tridiagonal,
     so its inertia is the sum of the inertias of the slab Schur complements
     (Haynsworth additivity with Sylvester's law). Each complement is
-    diagonalized; a complement that is numerically singular, or whose
-    update to the next slab would grow past SLAB_GROWTH * scale, is merged
-    with the next slab instead of eliminated. Only a singular last block
-    raises ShiftOnEigenvalueError.
+    factored by Bunch-Kaufman LDL^T per slab (_ldl_update). It is merged
+    with the next slab instead of eliminated when ``dsytrf`` reports a zero
+    pivot, when a pivot block has an eigenvalue of magnitude at most
+    1e-12 * scale, or when its update to the next slab is non-finite or has
+    an entry above SLAB_GROWTH * scale. The last block is diagonalized, and
+    only a singular last block raises ShiftOnEigenvalueError. Each slab's
+    rows are read once from the CSR arrays.
     """
     n = m.shape[0]
-    coo = m.tocoo()
-    w = max(int(np.abs(coo.row - coo.col).max(initial=0)), 1)
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    w = max(int(np.abs(rows - m.indices).max(initial=0)), 1)
     tol = 1e-12 * max(scale, 1.0)
+
+    def band(r0, r1):
+        # rows r0:r1 over columns r0 - w : r1 + w, which hold all their entries
+        i, j = m.indptr[r0], m.indptr[r1]
+        out = np.zeros((r1 - r0, r1 - r0 + 2 * w))
+        out[rows[i:j] - r0, m.indices[i:j] - (r0 - w)] = m.data[i:j]
+        return out
+
     neg = 0
     lo, hi = 0, min(w, n)
-    s = m[lo:hi, lo:hi].toarray()
+    s = band(lo, hi)[:, w:w + hi]
     while hi < n:
         nxt = min(hi + w, n)
-        e = m[lo:hi, hi:nxt].toarray()
-        d = m[hi:nxt, hi:nxt].toarray()
-        lam, q = np.linalg.eigh(s)
-        if np.abs(lam).min() > tol:
-            g = q.T @ e
-            update = g.T @ (g / lam[:, None])
-            if np.abs(update).max() <= SLAB_GROWTH * scale:
-                neg += int((lam < 0).sum())
-                s = d - update
-                lo, hi = hi, nxt
-                continue
+        below = band(hi, nxt)
+        d = below[:, w:w + nxt - hi]
+        # only the last w rows of the block couple to the next slab
+        e = np.zeros((hi - lo, nxt - hi), order="F")
+        e[-w:] = below[:, :w].T
+        step = _ldl_update(s, e, tol)
+        if step is not None and np.abs(step[1]).max() <= SLAB_GROWTH * scale:
+            neg += step[0]
+            s = d - step[1]
+            lo, hi = hi, nxt
+            continue
         s = np.block([[s, e], [e.T, d]])
         hi = nxt
     lam = np.linalg.eigvalsh(s)
@@ -290,7 +363,11 @@ def inertia_count(target: SymmetricOperator | OperatorPencil,
                   threshold: float) -> int:
     """Exact number of eigenvalues strictly below the threshold, from the
     inertia of A - theta*I (or B - theta*A for a pencil), computed by
-    guarded slab elimination in O(n w^2) time for half-bandwidth w.
+    guarded slab elimination with a Bunch-Kaufman LDL^T per slab, in
+    O(n w^2) time for half-bandwidth w. A slab is merged into the next one
+    instead of eliminated when its factor has a zero pivot or a pivot block
+    with an eigenvalue of magnitude at most 1e-12 * scale, or when its
+    update is non-finite or exceeds SLAB_GROWTH * scale.
 
     Raises ShiftOnEigenvalueError when the shifted matrix is numerically
     singular; the caller retries with a perturbed threshold.
