@@ -14,6 +14,13 @@ So the discrete counterparts of the Cauchy-Schwarz chain and of
 superadditivity are exact identities by construction: <A u, u> =
 <D u, E u>, and restricting a mask restricts all three forms without
 changing any matrix entry.
+
+Splitting the rows of D into those at interior nodes (E^T D = A) and the
+rest, R, gives B = A^2 + R^T R. A row of R holds the Laplacian at a lattice
+node outside the mask, which involves only its interior neighbours, so
+R^T R is supported on the nodes next to the boundary, those with a
+neighbour outside the mask; this keeps the dense pencil reduction of
+``eigensolve.generalized_spectrum`` cheap.
 """
 
 from __future__ import annotations

@@ -74,51 +74,100 @@ def _check_dense(n: int):
         )
 
 
-def dense_spectrum(op: SymmetricOperator) -> Spectrum:
-    """All eigenvalues by LAPACK's symmetric eigenvalue-only driver, checked
-    through two identities that every value enters: sum w = tr M and
-    sum w^2 = ||M||_F^2, to 1e-12 * n * |M| and 1e-12 * n * |M|^2.
-
-    The matrix is densified once, in LAPACK's column-major layout, and the
-    reduction overwrites that copy; the identities read the sparse matrix,
-    whose CSR storage holds each entry once."""
-    _check_dense(op.n_rows)
-    w = la.eigh(op.matrix.toarray(order="F"), eigvals_only=True,
-                overwrite_a=True)
-    scale = max(op.norm_estimate(), 1.0)
-    tol = 1e-12 * op.n_rows * scale
-    data = op.matrix.data
-    trace_res = abs(w.sum() - op.matrix.diagonal().sum())
-    frob_res = abs(w @ w - data @ data)
+def _checked_eigenvalues(m: np.ndarray, trace: float, frob2: float,
+                         scale: float) -> np.ndarray:
+    """All eigenvalues of the symmetric m from its lower triangle, by
+    LAPACK's eigenvalue-only driver reducing m in place, checked through two
+    identities that every value enters: sum w = tr M and sum w^2 = ||M||_F^2,
+    to 1e-12 * n * scale and 1e-12 * n * scale^2 for a bound scale >= ||M||_2.
+    The caller reads tr M and ||M||_F^2 from M before m is overwritten."""
+    w = la.eigh(m, eigvals_only=True, overwrite_a=True)
+    tol = 1e-12 * w.size * scale
+    trace_res = abs(w.sum() - trace)
+    frob_res = abs(w @ w - frob2)
     if trace_res > tol or frob_res > tol * scale:
         raise SolverError(
             f"eigenvalues fail the trace identities: trace residual "
             f"{trace_res:.3e} (tolerance {tol:.3e}), Frobenius residual "
             f"{frob_res:.3e} (tolerance {tol * scale:.3e})"
         )
+    return w
+
+
+def dense_spectrum(op: SymmetricOperator) -> Spectrum:
+    """All eigenvalues, checked by _checked_eigenvalues at the row-sum norm.
+
+    The matrix is densified once, in LAPACK's column-major layout, and the
+    reduction overwrites that copy; the identities read the sparse matrix,
+    whose CSR storage holds each entry once."""
+    _check_dense(op.n_rows)
+    m = op.matrix
+    w = _checked_eigenvalues(m.toarray(order="F"), m.diagonal().sum(),
+                             m.data @ m.data, max(op.norm_estimate(), 1.0))
     return Spectrum("dirichlet", w, cutoff=math.inf, source="grid")
 
 
-def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectrum:
-    """Lowest k eigenvalues of B u = mu A u by LAPACK's symmetric-definite
-    driver; a truncated spectrum is complete below its cutoff, the (k+1)-th
-    value.
-
-    B and A are densified once each, column-major, and reduced in place by
-    ``sygv``: scipy's default ``sygvd`` runs without a workspace query, so
-    LAPACK gets its minimum workspace and reduces unblocked, about twice as
-    slow at a few thousand nodes."""
-    _check_dense(pencil.n_rows)
+def _banded_cholesky(a: sp.csr_matrix) -> np.ndarray:
+    """The Cholesky factor A = L L^T in LAPACK's lower band storage,
+    lb[t, j] = L[j + t, j]; SolverError when A is not positive definite."""
+    low = sp.tril(a, format="coo")
+    ab = np.zeros((int((low.row - low.col).max(initial=0)) + 1, a.shape[0]))
+    ab[low.row - low.col, low.col] = low.data
     try:
-        w = la.eigh(pencil.b.matrix.toarray(order="F"),
-                    pencil.a.matrix.toarray(order="F"), eigvals_only=True,
-                    overwrite_a=True, overwrite_b=True, driver="gv")
+        return la.cholesky_banded(ab, lower=True, overwrite_ab=True)
     except la.LinAlgError as exc:
         raise SolverError(f"pencil eigensolve failed: {exc}") from exc
+
+
+def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectrum:
+    """Lowest k eigenvalues of B u = mu A u; a truncated spectrum is complete
+    below its cutoff, the (k+1)-th value.
+
+    The pencil is reduced to C = L^-1 B L^-T for the banded Cholesky factor
+    A = L L^T (nodes in _slab_order, so the shorter grid axis sets the
+    bandwidth w), formed in the lower triangle of one column-major n x n
+    array as C = L^T L + Y S_JJ Y^T. S = B - A^2 is sparse: for the
+    assembled forms B = A^2 + R^T R, with R the rows of D outside the mask,
+    so J, the nodes where S has an entry, are the nodes next to the
+    boundary; for any other pencil J grows and C stays exact. Y = L^-1 I_J
+    is one banded triangular solve, L^T L is written diagonal by diagonal,
+    and the rank-|J| term is added by one BLAS-3 ``syr2k``. C's eigenvalues
+    are then computed in place and checked by _checked_eigenvalues, with
+    the scale max row sum + max column sum of C's lower triangle."""
+    _check_dense(pencil.n_rows)
+    a, b = pencil.a.matrix, pencil.b.matrix
+    order = _slab_order(pencil)
+    if order is not None:
+        a, b = a[order][:, order], b[order][:, order]
+    lb = _banded_cholesky(a)
+    n, w = pencil.n_rows, lb.shape[0] - 1
+    c = np.zeros((n, n), order="F")
+    diagonals = c.T.reshape(-1)  # a view: C[i + d, i] is diagonals[d::n + 1][i]
+    for d in range(w + 1):
+        diagonals[d::n + 1][:n - d] = np.einsum("ti,ti->i", lb[d:, :n - d],
+                                                lb[:w + 1 - d, d:])
+    s = sp.tril(b - a @ a, format="coo")
+    s.eliminate_zeros()
+    j = np.union1d(s.row, s.col)
+    if j.size:  # S = 0 when B = A^2
+        s_jj = np.zeros((j.size, j.size), order="F")
+        s_jj[np.searchsorted(j, s.row), np.searchsorted(j, s.col)] = s.data
+        y = np.zeros((n, j.size), order="F")
+        y[j, np.arange(j.size)] = 1.0
+        y, info = lapack.dtbtrs(lb, y, uplo="L", overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"pencil reduction failed: dtbtrs info {info}")
+        z = blas.dsymm(1.0, s_jj, y, side=1, lower=1)
+        c = blas.dsyr2k(0.5, y, z, beta=1.0, c=c, lower=1, overwrite_c=1)
+        del y, z  # before C is reduced
+    diag = c.diagonal()
+    scale = max(lapack.dlange("1", c) + lapack.dlange("I", c), 1.0)
+    frob2 = 2.0 * lapack.dlange("F", c) ** 2 - diag @ diag
+    mu = _checked_eigenvalues(c, diag.sum(), frob2, scale)
     cutoff = math.inf
-    if k is not None and k < w.size:
-        w, cutoff = w[:k], float(w[k])
-    return Spectrum("buckling", w, cutoff=cutoff, source="grid")
+    if k is not None and k < mu.size:
+        mu, cutoff = mu[:k], float(mu[k])
+    return Spectrum("buckling", mu, cutoff=cutoff, source="grid")
 
 
 def _complete_multiplicities(lu, w, v, k, tol, rng):

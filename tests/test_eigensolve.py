@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcheck.discretization import (
+    OperatorPencil,
     SymmetricOperator,
     assemble_buckling_pencil,
     assemble_clamped_bilaplacian,
@@ -173,27 +174,62 @@ class TestGeneralizedSpectrum:
         assert generalized_spectrum(pencil).values == pytest.approx([5.0])
 
     def test_matches_explicit_reduction(self):
-        mask = random_mask(4, dims=(8, 8))
-        pencil = assemble_buckling_pencil(mask)
-        mu = generalized_spectrum(pencil).values
-        # C = R^{-T} B R^{-1} for A = R^T R has the pencil's eigenvalues
-        r = la.cholesky(pencil.a.dense(), lower=False)
-        rt_inv_b = la.solve_triangular(r, pencil.b.dense(), trans="T")
-        c = la.solve_triangular(r, rt_inv_b.T, trans="T")
-        ref = np.linalg.eigvalsh(0.5 * (c + c.T))
-        assert np.allclose(mu, ref, rtol=1e-9)
+        masks = [
+            random_mask(4, dims=(8, 8)),
+            # taller than wide: the nodes are renumbered by _slab_order
+            random_mask(5, dims=(6, 15)),
+            rasterize(DomainSpec.disk(1.0), 1 / 20),
+            # 18 connected pieces
+            random_mask(1, dims=(12, 12), fill=0.35),
+        ]
+        for mask in masks:
+            pencil = assemble_buckling_pencil(mask)
+            mu = generalized_spectrum(pencil).values
+            # C = R^{-T} B R^{-1} for A = R^T R has the pencil's eigenvalues
+            r = la.cholesky(pencil.a.dense(), lower=False)
+            rt_inv_b = la.solve_triangular(r, pencil.b.dense(), trans="T")
+            c = la.solve_triangular(r, rt_inv_b.T, trans="T")
+            ref = np.linalg.eigvalsh(0.5 * (c + c.T))
+            assert np.allclose(mu, ref, rtol=1e-9)
 
-    def test_one_copy_each_reduced_in_place(self, square_mask_32):
-        # one copy of each matrix, against four with scipy's default copies
+    def test_no_boundary_term(self):
+        # B = A^2 leaves S = B - A^2 empty and C = L^T L, with A's spectrum
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        pencil = OperatorPencil(op_from_dense(a @ a), op_from_dense(a))
+        assert np.allclose(generalized_spectrum(pencil).values,
+                           np.linalg.eigvalsh(a), rtol=1e-12)
+
+    def test_indefinite_a_raises(self):
+        a = op_from_dense([[1.0, 2.0], [2.0, 1.0]])
+        pencil = OperatorPencil(op_from_dense(np.eye(2)), a)
+        with pytest.raises(SolverError):
+            generalized_spectrum(pencil)
+
+    def test_one_dense_array_reduced_in_place(self, square_mask_32):
+        # C = L^-1 B L^-T in one n x n array, plus the n x |J| solves of the
+        # boundary term; dense copies of B and A took 2 n^2 * 8 B
         pencil = assemble_buckling_pencil(square_mask_32)
         n = pencil.n_rows
         parts = csr_parts(pencil.a), csr_parts(pencil.b)
         spectrum, peak = traced_peak(generalized_spectrum, pencil)
-        assert peak <= 2.25 * n * n * 8
+        assert peak <= 1.5 * n * n * 8
         ref = la.eigh(pencil.b.dense(), pencil.a.dense(), eigvals_only=True)
         assert np.allclose(spectrum.values, ref, rtol=1e-10, atol=0)
         assert_same_parts(pencil.a, parts[0])
         assert_same_parts(pencil.b, parts[1])
+
+    def test_moved_value_raises(self, monkeypatch):
+        # one value of C off by 1e-8*|C|, at either end or the middle,
+        # breaks the trace identity on the 1,521-node square
+        pencil = assemble_buckling_pencil(
+            rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
+        w = generalized_spectrum(pencil).values
+        for i in (0, w.size // 2, w.size - 1):
+            moved = w.copy()
+            moved[i] += 1e-8 * w[-1]
+            monkeypatch.setattr(la, "eigh", lambda *a, moved=moved, **kw: moved)
+            with pytest.raises(SolverError):
+                generalized_spectrum(pencil)
 
     def test_truncated_cutoff(self):
         mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
