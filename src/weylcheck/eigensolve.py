@@ -7,7 +7,7 @@ counting machinery refuses to evaluate past it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -94,17 +94,87 @@ def _checked_eigenvalues(m: np.ndarray, trace: float, frob2: float,
     return w
 
 
-def dense_spectrum(op: SymmetricOperator) -> Spectrum:
-    """All eigenvalues, checked by _checked_eigenvalues at the row-sum norm.
+def _parity_bases(target) -> list[sp.csr_matrix]:
+    """Orthonormal bases Q_c, one per character c of the group of lattice
+    mirrors that the operator commutes with (for a pencil, both A and B);
+    each Q_c^T M Q_c is a diagonal block of M in the symmetry-adapted basis.
 
-    The matrix is densified once, in LAPACK's column-major layout, and the
-    reduction overwrites that copy; the identities read the sparse matrix,
-    whose CSR storage holds each entry once."""
+    A mirror is the flip of the mask's bounding box along x or along y. It
+    is kept only when it maps the mask onto itself and every matrix is
+    bitwise invariant under the node permutation it induces, so a split is
+    exact, never assumed from the mask. A column of Q_c is one orbit of at
+    most 4 nodes, with entries +-1, +-1/sqrt(2) or +-1/2: even or odd under
+    each kept mirror, and zero where an odd character meets the mirror
+    line. Columns run through the orbits in slab order of the fundamental
+    domain (the shorter axis of its box inside each slab), so a banded
+    matrix stays banded. With no mirror, Q is that ordering of all nodes,
+    the one block; with no grid, it is the identity."""
+    if isinstance(target, OperatorPencil):
+        grid, mats = target.a.grid, [target.a.matrix, target.b.matrix]
+    else:
+        grid, mats = target.grid, [target.matrix]
+    n = target.n_rows
+    if grid is None or grid.n_nodes != n:
+        return [sp.identity(n, format="csr")]
+    coords = np.nonzero(grid.interior)
+    index = grid.node_index()
+    folds, sides = [], []
+    for axis, x in enumerate(coords):
+        lo, hi = x.min(), x.max()
+        image = list(coords)
+        image[axis] = lo + hi - x
+        p = index[tuple(image)]
+        if (p >= 0).all() and all((m[p][:, p] != m).nnz == 0 for m in mats):
+            folds.append(np.minimum(x - lo, hi - x))
+            # -1 before the mirror line, 0 on it, +1 past it
+            sides.append(np.sign(2 * x - lo - hi))
+        else:
+            folds.append(x - lo)
+            sides.append(None)
+    fx, fy = folds
+    nx, ny = fx.max() + 1, fy.max() + 1
+    key = fx * ny + fy if ny <= nx else fy * nx + fx
+    orbit = np.unique(key, return_inverse=True)[1]
+    weight = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+    bases = []
+    for parity in np.ndindex(*(1 if s is None else 2 for s in sides)):
+        sign = np.ones(n)
+        for odd, side in zip(parity, sides):
+            if odd:
+                sign = sign * -side
+        keep = np.flatnonzero(sign)
+        if keep.size:
+            cols = np.unique(orbit[keep], return_inverse=True)[1]
+            bases.append(sp.csr_matrix((sign[keep] * weight[keep], (keep, cols)),
+                                       shape=(n, cols.max() + 1)))
+    return bases
+
+
+def _block(m: sp.csr_matrix, q: sp.csr_matrix) -> sp.csr_matrix:
+    """Q^T M Q, made exactly symmetric from its lower triangle."""
+    low = sp.tril(q.T @ m @ q, format="csr")
+    return (low + sp.tril(low, -1).T).tocsr()
+
+
+def dense_spectrum(op: SymmetricOperator) -> Spectrum:
+    """All eigenvalues, one diagonal block of the parity split
+    (_parity_bases) after another, each checked by _checked_eigenvalues
+    against its own trace and Frobenius norm at the row-sum norm of the
+    operator, which bounds every block's.
+
+    A block is densified once, in LAPACK's column-major layout, and the
+    reduction overwrites that copy; the identities read the sparse block,
+    whose CSR storage holds each entry once. So the largest dense array is
+    the largest block: a quarter of n on a mask with two mirrors."""
     _check_dense(op.n_rows)
-    m = op.matrix
-    w = _checked_eigenvalues(m.toarray(order="F"), m.diagonal().sum(),
-                             m.data @ m.data, max(op.norm_estimate(), 1.0))
-    return Spectrum("dirichlet", w, cutoff=math.inf, source="grid")
+    scale = max(op.norm_estimate(), 1.0)
+    values = []
+    for q in _parity_bases(op):
+        m = _block(op.matrix, q)
+        values.append(_checked_eigenvalues(m.toarray(order="F"), m.diagonal().sum(),
+                                           m.data @ m.data, scale))
+    return Spectrum("dirichlet", np.concatenate(values), cutoff=math.inf,
+                    source="grid")
 
 
 def _banded_cholesky(a: sp.csr_matrix) -> np.ndarray:
@@ -119,34 +189,17 @@ def _banded_cholesky(a: sp.csr_matrix) -> np.ndarray:
         raise SolverError(f"pencil eigensolve failed: {exc}") from exc
 
 
-def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectrum:
-    """Lowest k eigenvalues of B u = mu A u; a truncated spectrum is complete
-    below its cutoff, the (k+1)-th value.
-
-    The pencil is reduced to C = L^-1 B L^-T for the banded Cholesky factor
-    A = L L^T (nodes in _slab_order, so the shorter grid axis sets the
-    bandwidth w), formed in the lower triangle of one column-major n x n
-    array as C = L^T L + Y S_JJ Y^T. S = B - A^2 is sparse: for the
-    assembled forms B = A^2 + R^T R, with R the rows of D outside the mask,
-    so J, the nodes where S has an entry, are the nodes next to the
-    boundary; for any other pencil J grows and C stays exact. Y = L^-1 I_J
-    is one banded triangular solve, L^T L is written diagonal by diagonal,
-    and the rank-|J| term is added by one BLAS-3 ``syr2k``. C's eigenvalues
-    are then computed in place and checked by _checked_eigenvalues, with
-    the scale max row sum + max column sum of C's lower triangle."""
-    _check_dense(pencil.n_rows)
-    a, b = pencil.a.matrix, pencil.b.matrix
-    order = _slab_order(pencil)
-    if order is not None:
-        a, b = a[order][:, order], b[order][:, order]
+def _pencil_block(a: sp.csr_matrix, s: sp.csr_matrix) -> np.ndarray:
+    """Eigenvalues of the pencil (A^2 + S, A) for a banded A, checked by
+    _checked_eigenvalues; see generalized_spectrum."""
     lb = _banded_cholesky(a)
-    n, w = pencil.n_rows, lb.shape[0] - 1
+    n, w = a.shape[0], lb.shape[0] - 1
     c = np.zeros((n, n), order="F")
     diagonals = c.T.reshape(-1)  # a view: C[i + d, i] is diagonals[d::n + 1][i]
     for d in range(w + 1):
         diagonals[d::n + 1][:n - d] = np.einsum("ti,ti->i", lb[d:, :n - d],
                                                 lb[:w + 1 - d, d:])
-    s = sp.tril(b - a @ a, format="coo")
+    s = sp.tril(s, format="coo")
     s.eliminate_zeros()
     j = np.union1d(s.row, s.col)
     if j.size:  # S = 0 when B = A^2
@@ -163,7 +216,33 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectr
     diag = c.diagonal()
     scale = max(lapack.dlange("1", c) + lapack.dlange("I", c), 1.0)
     frob2 = 2.0 * lapack.dlange("F", c) ** 2 - diag @ diag
-    mu = _checked_eigenvalues(c, diag.sum(), frob2, scale)
+    return _checked_eigenvalues(c, diag.sum(), frob2, scale)
+
+
+def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectrum:
+    """Lowest k eigenvalues of B u = mu A u; a truncated spectrum is complete
+    below its cutoff, the (k+1)-th value.
+
+    The pencil is split by the mirrors that both A and B commute with
+    (_parity_bases) into the block pencils (Q^T B Q, Q^T A Q), solved one
+    after another; their values are merged and sorted. Each block is
+    reduced to C = L^-1 B L^-T for the banded Cholesky factor A = L L^T
+    (columns of Q in slab order, so the shorter axis of the fundamental
+    domain sets the bandwidth w), formed in the lower triangle of one
+    column-major array as C = L^T L + Y S_JJ Y^T. S = B - A^2 is sparse:
+    for the assembled forms B = A^2 + R^T R, with R the rows of D outside
+    the mask, so J, the orbits where Q^T S Q has an entry, are those next
+    to the boundary; for any other pencil J grows and C stays exact, since
+    Q^T A^2 Q = (Q^T A Q)^2 when A commutes with the mirrors. Y = L^-1 I_J
+    is one banded triangular solve, L^T L is written diagonal by diagonal,
+    and the rank-|J| term is added by one BLAS-3 ``syr2k``. C's eigenvalues
+    are then computed in place and checked by _checked_eigenvalues, with
+    the scale max row sum + max column sum of C's lower triangle."""
+    _check_dense(pencil.n_rows)
+    a, b = pencil.a.matrix, pencil.b.matrix
+    s = b - a @ a
+    mu = np.sort(np.concatenate([_pencil_block(_block(a, q), _block(s, q))
+                                 for q in _parity_bases(pencil)]))
     cutoff = math.inf
     if k is not None and k < mu.size:
         mu, cutoff = mu[:k], float(mu[k])
@@ -185,13 +264,18 @@ def _complete_multiplicities(lu, w, v, k, tol, rng):
     residual in A is of the order of tol * w / 10 rather than tol * |A| /
     10, inside the check tol * w + eps * |A| that lowest_k applies (a pair
     that misses it is refined in _block_lowest); eight Lanczos vectors keep
-    the probe's memory to a few copies of v.
+    the probe's memory to a few copies of v. The deflation x - V (V^T x)
+    is two ``dgemv`` calls on a column-major copy of V, in scipy's BLAS for
+    the reason _ldl_update gives.
     """
     n = v.shape[0]
     while v.shape[1] < n:
-        def deflated_solve(x, v=v):
-            y = lu.solve(x - v @ (v.T @ x))
-            return y - v @ (v.T @ y)
+        def deflate(x, vf=np.asfortranarray(v)):
+            return blas.dgemv(-1.0, vf, blas.dgemv(1.0, vf, x, trans=1),
+                              beta=1.0, y=x)
+
+        def deflated_solve(x, deflate=deflate):
+            return deflate(lu.solve(deflate(x)))
 
         nu, x = spla.eigsh(spla.LinearOperator((n, n), deflated_solve,
                                                dtype=float),

@@ -84,9 +84,42 @@ def assert_same_parts(op, parts):
 
 
 @pytest.fixture
-def square_mask_32():
-    # 961 nodes
-    return rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 32)
+def asymmetric_mask():
+    # 1,250 nodes: the unit square and a disk of radius 0.3 beside it,
+    # offset so that no lattice mirror maps the mask onto itself
+    return rasterize(DomainSpec.union([DomainSpec.rectangle(1.0, 1.0),
+                                       DomainSpec.disk(0.3)],
+                                      [(0.0, 0.0), (1.4, 0.3)]), 1 / 32)
+
+
+def parity_blocks(target):
+    """Sizes of the diagonal blocks the dense solvers split target into."""
+    return [q.shape[1] for q in eigensolve._parity_bases(target)]
+
+
+def mirrored_mask(seed, dims, fill, axes):
+    """Random mask made symmetric under the mirrors named in axes."""
+    m = random_mask(seed, dims=dims, fill=fill).interior
+    if "x" in axes:
+        m = m | m[::-1]
+    if "y" in axes:
+        m = m | m[:, ::-1]
+    return GridMask(1.0, (0.0, 0.0), dims, m)
+
+
+def moved_eigh(call, where, delta):
+    """la.eigh that moves value round(where * (n - 1)) of the block solved
+    on the given call by delta, and passes every other call through."""
+    eigh, calls = la.eigh, []
+
+    def moved(*args, **kw):
+        w = eigh(*args, **kw)
+        if len(calls) == call:
+            w[round(where * (w.size - 1))] += delta
+        calls.append(w.size)
+        return w
+
+    return moved
 
 
 class TestSpectrum:
@@ -134,10 +167,11 @@ class TestDenseSpectrum:
         with pytest.raises(SolverError):
             dense_spectrum(big)
 
-    def test_one_copy_reduced_in_place(self, square_mask_32):
+    def test_one_copy_reduced_in_place(self, asymmetric_mask):
         # one n x n copy and LAPACK's O(n) workspace; two copies at 2 n^2 * 8 B
-        op = assemble_dirichlet_laplacian(square_mask_32)
+        op = assemble_dirichlet_laplacian(asymmetric_mask)
         n, parts = op.n_rows, csr_parts(op)
+        assert parity_blocks(op) == [n]
         spectrum, peak = traced_peak(dense_spectrum, op)
         assert peak <= 1.25 * n * n * 8
         assert np.array_equal(spectrum.values,
@@ -155,17 +189,17 @@ class TestDenseSpectrum:
     @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
                                           assemble_clamped_bilaplacian])
     def test_moved_value_raises(self, assemble, monkeypatch):
-        # one eigenvalue off by 1e-8*|M|, at either end or the middle,
-        # breaks the trace identity on the 1,521-node square
+        # one eigenvalue of one parity block off by 1e-8*|M|, at either end
+        # or the middle, breaks that block's trace identity on the
+        # 1,521-node square
         op = assemble(rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
-        w = dense_spectrum(op).values
-        for i in (0, w.size // 2, w.size - 1):
-            moved = w.copy()
-            moved[i] += 1e-8 * op.norm_estimate()
-            monkeypatch.setattr(la, "eigh", lambda *a, moved=moved, **kw: moved)
+        assert parity_blocks(op) == [400, 380, 380, 361]
+        dense_spectrum(op)
+        for call, where in ((0, 0.0), (1, 0.5), (3, 1.0)):
+            monkeypatch.setattr(la, "eigh", moved_eigh(
+                call, where, 1e-8 * op.norm_estimate()))
             with pytest.raises(SolverError):
                 dense_spectrum(op)
-
 
 class TestGeneralizedSpectrum:
     def test_single_node_pencil(self):
@@ -205,12 +239,13 @@ class TestGeneralizedSpectrum:
         with pytest.raises(SolverError):
             generalized_spectrum(pencil)
 
-    def test_one_dense_array_reduced_in_place(self, square_mask_32):
+    def test_one_dense_array_reduced_in_place(self, asymmetric_mask):
         # C = L^-1 B L^-T in one n x n array, plus the n x |J| solves of the
         # boundary term; dense copies of B and A took 2 n^2 * 8 B
-        pencil = assemble_buckling_pencil(square_mask_32)
+        pencil = assemble_buckling_pencil(asymmetric_mask)
         n = pencil.n_rows
         parts = csr_parts(pencil.a), csr_parts(pencil.b)
+        assert parity_blocks(pencil) == [n]
         spectrum, peak = traced_peak(generalized_spectrum, pencil)
         assert peak <= 1.5 * n * n * 8
         ref = la.eigh(pencil.b.dense(), pencil.a.dense(), eigvals_only=True)
@@ -219,15 +254,15 @@ class TestGeneralizedSpectrum:
         assert_same_parts(pencil.b, parts[1])
 
     def test_moved_value_raises(self, monkeypatch):
-        # one value of C off by 1e-8*|C|, at either end or the middle,
-        # breaks the trace identity on the 1,521-node square
+        # one value of one parity block of C off by 1e-8*|C|, at either end
+        # or the middle, breaks that block's trace identity on the
+        # 1,521-node square
         pencil = assemble_buckling_pencil(
             rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
+        assert parity_blocks(pencil) == [400, 380, 380, 361]
         w = generalized_spectrum(pencil).values
-        for i in (0, w.size // 2, w.size - 1):
-            moved = w.copy()
-            moved[i] += 1e-8 * w[-1]
-            monkeypatch.setattr(la, "eigh", lambda *a, moved=moved, **kw: moved)
+        for call, where in ((0, 0.0), (2, 0.5), (3, 1.0)):
+            monkeypatch.setattr(la, "eigh", moved_eigh(call, where, 1e-8 * w[-1]))
             with pytest.raises(SolverError):
                 generalized_spectrum(pencil)
 
@@ -520,3 +555,58 @@ class TestInertiaCount:
         assert report.ok
         assert list(report.n_d) == [int((exact < l).sum())
                                     for l in (100.0, 1000.0, 3000.0)]
+
+
+class TestParitySplit:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           dims=st.sampled_from([(10, 12), (12, 10), (11, 11), (9, 8)]),
+           fill=st.sampled_from([0.3, 0.55, 0.8]),
+           axes=st.sampled_from(["", "x", "y", "xy"]))
+    def test_split_matches_unsplit_eigh(self, seed, dims, fill, axes):
+        # odd and even widths: orbits with and without fixed points on the
+        # mirror lines
+        pencil = assemble_buckling_pencil(mirrored_mask(seed, dims, fill, axes))
+        for target in (pencil.a, pencil.b, pencil):
+            assert len(parity_blocks(target)) >= 2 ** len(axes)
+        for target, solve in ((pencil.a, dense_spectrum),
+                              (pencil.b, dense_spectrum),
+                              (pencil, generalized_spectrum)):
+            assert np.allclose(solve(target).values, dense_eigenvalues(target),
+                               rtol=1e-10, atol=0)
+
+    def test_operator_not_invariant_is_not_split(self):
+        # the mask has both mirrors, the operators do not: one diagonal
+        # entry moved; a split that trusted the mask would drop the
+        # coupling between the parity blocks
+        mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
+        pencil = assemble_buckling_pencil(mask)
+        assert len(parity_blocks(pencil)) == 4
+        bump = sp.csr_matrix(([1e-2], ([3], [3])), shape=pencil.a.matrix.shape)
+        a = SymmetricOperator(pencil.a.matrix + bump * pencil.a.norm_estimate(), mask)
+        b = SymmetricOperator(pencil.b.matrix + bump * pencil.b.norm_estimate(), mask)
+        for target in (a, b, OperatorPencil(b, pencil.a),
+                       OperatorPencil(pencil.b, a)):
+            assert parity_blocks(target) == [mask.n_nodes]
+        for target in (a, b):
+            assert np.allclose(dense_spectrum(target).values,
+                               dense_eigenvalues(target), rtol=1e-10, atol=0)
+        for target in (OperatorPencil(b, pencil.a), OperatorPencil(pencil.b, a)):
+            assert np.allclose(generalized_spectrum(target).values,
+                               dense_eigenvalues(target), rtol=1e-10, atol=0)
+
+    def test_split_square_in_largest_block(self):
+        # the 1,521-node square splits into blocks of 400, 380, 380 and 361
+        # nodes, solved one after another: the dense arrays are a block's
+        op = assemble_dirichlet_laplacian(
+            rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
+        pencil = assemble_buckling_pencil(op.grid)
+        for target, solve in ((op, dense_spectrum),
+                              (pencil.b, dense_spectrum),
+                              (pencil, generalized_spectrum)):
+            big = max(parity_blocks(target))
+            assert big == 400
+            spectrum, peak = traced_peak(solve, target)
+            assert peak <= 1.5 * big * big * 8
+            assert np.allclose(spectrum.values, dense_eigenvalues(target),
+                               rtol=1e-10, atol=0)
