@@ -131,7 +131,7 @@ def cmd_solve(args, out: Path) -> dict:
         )
     else:
         result = eigensolve.generalized_spectrum(
-            discretization.assemble_buckling_pencil(mask), args.k)
+            discretization.OperatorPencil(forms.b, forms.a), args.k)
     result.dump(out / "spectrum.csv", h=args.h)
     return {"nodes": mask.n_nodes, "values": [float(v) for v in result.values]}
 

@@ -94,48 +94,56 @@ def _checked_eigenvalues(m: np.ndarray, trace: float, frob2: float,
     return w
 
 
-def _parity_bases(target) -> list[sp.csr_matrix]:
-    """Orthonormal bases Q_c, one per character c of the group of lattice
-    mirrors that the operator commutes with (for a pencil, both A and B);
-    each Q_c^T M Q_c is a diagonal block of M in the symmetry-adapted basis.
+def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice]]]:
+    """Orthonormal bases Q, one per character of the group of lattice
+    mirrors that the operator commutes with (for a pencil, both A and B),
+    each with the column ranges of its connected pieces: Q^T M Q is block
+    diagonal, one block per range, and M's spectrum is the union of theirs.
 
-    A mirror is the flip of the mask's bounding box along x or along y. It
-    is kept only when it maps the mask onto itself and every matrix is
-    bitwise invariant under the node permutation it induces, so a split is
-    exact, never assumed from the mask. A column of Q_c is one orbit of at
-    most 4 nodes, with entries +-1, +-1/sqrt(2) or +-1/2: even or odd under
-    each kept mirror, and zero where an odd character meets the mirror
-    line. Columns run through the orbits in slab order of the fundamental
-    domain (the shorter axis of its box inside each slab), so a banded
-    matrix stays banded. With no mirror, Q is that ordering of all nodes,
-    the one block; with no grid, it is the identity."""
+    Pieces are the components of the graph of |M|, or of |A| + |B| for a
+    pencil (S = B - A^2 couples only nodes that B couples). A mirror is the
+    flip of the mask's bounding box along x or y, kept only when it maps the
+    mask onto itself and every matrix is bitwise invariant under the node
+    permutation it induces: a split is exact, never assumed from the mask.
+    A column of Q is one orbit of at most 4 nodes, with entries +-1,
+    +-1/sqrt(2) or +-1/2: even or odd under each kept mirror, zero where an
+    odd character meets the mirror line. A piece and its mirror images share
+    their orbits and so one range, in which the orbits run in slab order of
+    the fundamental domain (the shorter axis of its box inside each slab),
+    so a banded matrix stays banded; with no grid, nodes run in index order."""
     if isinstance(target, OperatorPencil):
         grid, mats = target.a.grid, [target.a.matrix, target.b.matrix]
     else:
         grid, mats = target.grid, [target.matrix]
     n = target.n_rows
-    if grid is None or grid.n_nodes != n:
-        return [sp.identity(n, format="csr")]
-    coords = np.nonzero(grid.interior)
-    index = grid.node_index()
-    folds, sides = [], []
-    for axis, x in enumerate(coords):
-        lo, hi = x.min(), x.max()
-        image = list(coords)
-        image[axis] = lo + hi - x
-        p = index[tuple(image)]
-        if (p >= 0).all() and all((m[p][:, p] != m).nnz == 0 for m in mats):
-            folds.append(np.minimum(x - lo, hi - x))
-            # -1 before the mirror line, 0 on it, +1 past it
-            sides.append(np.sign(2 * x - lo - hi))
-        else:
-            folds.append(x - lo)
-            sides.append(None)
-    fx, fy = folds
-    nx, ny = fx.max() + 1, fy.max() + 1
-    key = fx * ny + fy if ny <= nx else fy * nx + fx
-    orbit = np.unique(key, return_inverse=True)[1]
-    weight = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+    piece = csgraph.connected_components(sum(abs(m) for m in mats),
+                                         directed=False)[1]
+    orbit, weight, sides = np.arange(n), np.ones(n), []
+    if grid is not None and grid.n_nodes == n:
+        coords = np.nonzero(grid.interior)
+        index = grid.node_index()
+        folds = []
+        for axis, x in enumerate(coords):
+            lo, hi = x.min(), x.max()
+            image = list(coords)
+            image[axis] = lo + hi - x
+            p = index[tuple(image)]
+            if (p >= 0).all() and all((m[p][:, p] != m).nnz == 0 for m in mats):
+                folds.append(np.minimum(x - lo, hi - x))
+                # -1 before the mirror line, 0 on it, +1 past it
+                sides.append(np.sign(2 * x - lo - hi))
+            else:
+                folds.append(x - lo)
+                sides.append(None)
+        fx, fy = folds
+        nx, ny = fx.max() + 1, fy.max() + 1
+        orbit = np.unique(fx * ny + fy if ny <= nx else fy * nx + fx,
+                          return_inverse=True)[1]
+        weight = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+    # an orbit joins the range of the lowest-labelled piece it meets
+    group = np.full(n, n)
+    np.minimum.at(group, orbit, piece)
+    key = group[orbit] * n + orbit
     bases = []
     for parity in np.ndindex(*(1 if s is None else 2 for s in sides)):
         sign = np.ones(n)
@@ -144,23 +152,30 @@ def _parity_bases(target) -> list[sp.csr_matrix]:
                 sign = sign * -side
         keep = np.flatnonzero(sign)
         if keep.size:
-            cols = np.unique(orbit[keep], return_inverse=True)[1]
-            bases.append(sp.csr_matrix((sign[keep] * weight[keep], (keep, cols)),
-                                       shape=(n, cols.max() + 1)))
+            keys, cols = np.unique(key[keep], return_inverse=True)
+            cuts = np.r_[0, np.flatnonzero(np.diff(keys // n)) + 1,
+                         keys.size].tolist()
+            bases.append((sp.csr_matrix((sign[keep] * weight[keep], (keep, cols)),
+                                        shape=(n, keys.size)),
+                          [slice(*c) for c in zip(cuts[:-1], cuts[1:])]))
     return bases
 
 
-def _block(m: sp.csr_matrix, q: sp.csr_matrix) -> sp.csr_matrix:
-    """Q^T M Q, made exactly symmetric from its lower triangle."""
-    low = sp.tril(q.T @ m @ q, format="csr")
-    return (low + sp.tril(low, -1).T).tocsr()
+def _blocks(m: sp.csr_matrix, bases):
+    """The diagonal blocks of m in the split _parity_bases gives: Q^T M Q
+    for each character, made exactly symmetric from its lower triangle, cut
+    at its pieces' column ranges."""
+    for q, pieces in bases:
+        low = sp.tril(q.T @ m @ q, format="csr")
+        full = (low + sp.tril(low, -1).T).tocsr()
+        yield from (full[p, p] for p in pieces)
 
 
 def dense_spectrum(op: SymmetricOperator) -> Spectrum:
-    """All eigenvalues, one diagonal block of the parity split
-    (_parity_bases) after another, each checked by _checked_eigenvalues
-    against its own trace and Frobenius norm at the row-sum norm of the
-    operator, which bounds every block's.
+    """All eigenvalues, one diagonal block of the split by mirror characters
+    and connected pieces (_parity_bases) after another, each checked by
+    _checked_eigenvalues against its own trace and Frobenius norm at the
+    row-sum norm of the operator, which bounds every block's.
 
     A block is densified once, in LAPACK's column-major layout, and the
     reduction overwrites that copy; the identities read the sparse block,
@@ -169,8 +184,7 @@ def dense_spectrum(op: SymmetricOperator) -> Spectrum:
     _check_dense(op.n_rows)
     scale = max(op.norm_estimate(), 1.0)
     values = []
-    for q in _parity_bases(op):
-        m = _block(op.matrix, q)
+    for m in _blocks(op.matrix, _parity_bases(op)):
         values.append(_checked_eigenvalues(m.toarray(order="F"), m.diagonal().sum(),
                                            m.data @ m.data, scale))
     return Spectrum("dirichlet", np.concatenate(values), cutoff=math.inf,
@@ -223,26 +237,27 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectr
     """Lowest k eigenvalues of B u = mu A u; a truncated spectrum is complete
     below its cutoff, the (k+1)-th value.
 
-    The pencil is split by the mirrors that both A and B commute with
-    (_parity_bases) into the block pencils (Q^T B Q, Q^T A Q), solved one
-    after another; their values are merged and sorted. Each block is
-    reduced to C = L^-1 B L^-T for the banded Cholesky factor A = L L^T
-    (columns of Q in slab order, so the shorter axis of the fundamental
-    domain sets the bandwidth w), formed in the lower triangle of one
-    column-major array as C = L^T L + Y S_JJ Y^T. S = B - A^2 is sparse:
-    for the assembled forms B = A^2 + R^T R, with R the rows of D outside
-    the mask, so J, the orbits where Q^T S Q has an entry, are those next
-    to the boundary; for any other pencil J grows and C stays exact, since
-    Q^T A^2 Q = (Q^T A Q)^2 when A commutes with the mirrors. Y = L^-1 I_J
-    is one banded triangular solve, L^T L is written diagonal by diagonal,
-    and the rank-|J| term is added by one BLAS-3 ``syr2k``. C's eigenvalues
-    are then computed in place and checked by _checked_eigenvalues, with
-    the scale max row sum + max column sum of C's lower triangle."""
+    The pencil is split by the mirrors that both A and B commute with and
+    by its connected pieces (_parity_bases) into the block pencils
+    (Q^T B Q, Q^T A Q), solved one after another; their values are merged
+    and sorted. Each block is reduced to C = L^-1 B L^-T for the banded
+    Cholesky factor A = L L^T (columns of Q in slab order, so the shorter
+    axis of the fundamental domain sets the bandwidth w), formed in the
+    lower triangle of one column-major array as C = L^T L + Y S_JJ Y^T.
+    S = B - A^2 is sparse: for the assembled forms B = A^2 + R^T R, with R
+    the rows of D outside the mask, so J, the orbits where Q^T S Q has an
+    entry, are those next to the boundary; for any other pencil J grows and
+    C stays exact, since Q^T A^2 Q = (Q^T A Q)^2 when A commutes with the
+    mirrors and couples no two pieces. Y = L^-1 I_J is one banded
+    triangular solve, L^T L is written diagonal by diagonal, and the
+    rank-|J| term is added by one BLAS-3 ``syr2k``. C's eigenvalues are
+    then computed in place and checked by _checked_eigenvalues, with the
+    scale max row sum + max column sum of C's lower triangle."""
     _check_dense(pencil.n_rows)
     a, b = pencil.a.matrix, pencil.b.matrix
-    s = b - a @ a
-    mu = np.sort(np.concatenate([_pencil_block(_block(a, q), _block(s, q))
-                                 for q in _parity_bases(pencil)]))
+    bases = _parity_bases(pencil)
+    mu = np.sort(np.concatenate([_pencil_block(*blocks) for blocks in
+                                 zip(_blocks(a, bases), _blocks(b - a @ a, bases))]))
     cutoff = math.inf
     if k is not None and k < mu.size:
         mu, cutoff = mu[:k], float(mu[k])
@@ -301,7 +316,7 @@ def _residual_bound(w, tol: float, scale: float) -> np.ndarray:
 
 
 def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float):
-    """Lowest k eigenpairs of one connected block: ARPACK's shift-invert
+    """Lowest k eigenpairs of one block of the split: ARPACK's shift-invert
     Lanczos at zero from a fixed-seed random vector, completed by
     _complete_multiplicities; dense for k = n, which ARPACK cannot do, and
     refused like every dense solve above DENSE_LIMIT. When a pair misses the
@@ -335,30 +350,26 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float):
 
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
-    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``), run on each
-    connected block of the matrix (``scipy.sparse.csgraph``) and merged, so
-    that copies of a block's spectrum in disjoint pieces of the domain are
-    exact; within a block, missed copies of repeated eigenvalues are added
-    by deflated probes. Start vectors are fixed-seed random, so reruns are
+    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``), min(k, size)
+    pairs from each diagonal block Q^T A Q of _parity_bases, merged; within
+    a block, missed copies of repeated eigenvalues are added by deflated
+    probes. Start vectors are fixed-seed random, so reruns are
     bit-identical. Every returned pair must satisfy ||A v - w v|| <=
     min(tol * |A|, tol * |w| + eps * |A|), or SolverError is raised: the
     second bound is relative to the value itself, up to the rounding of
     the residual's own evaluation, so it still means something where |A|
-    is many orders above the lowest values, as for the bilaplacian. A
-    truncated spectrum is cut off at its largest value, below which every
-    eigenvalue is returned."""
+    is many orders above the lowest values, as for the bilaplacian. The
+    residual in the block is A's own for (w, Q v), since A Q = Q (Q^T A Q)
+    and Q is orthonormal. A truncated spectrum is cut off at its largest
+    value, below which every eigenvalue is returned."""
     n = op.n_rows
     if not 1 <= k <= n:
         raise SolverError(f"k={k} out of range for n={n}")
-    n_blocks, labels = csgraph.connected_components(op.matrix, directed=False)
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
     scale = max(op.norm_estimate(), 1.0)
     values, resid = [], []
     try:
-        for idx in blocks:
-            m = op.matrix if n_blocks == 1 else op.matrix[idx][:, idx]
-            w, v = _block_lowest(m, min(k, idx.size), tol, scale)
+        for m in _blocks(op.matrix, _parity_bases(op)):
+            w, v = _block_lowest(m, min(k, m.shape[0]), tol, scale)
             values.append(w)
             resid.append(_residuals(m, w, v))
     except SolverError:

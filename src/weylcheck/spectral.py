@@ -286,15 +286,3 @@ def weyl_ratio_curve(spectrum: Spectrum, n: int, volume: float, lam_grid,
             WeylRatioRow(float(lam), cnt, cnt / (c_w * lam ** (n / 2.0)), trusted)
         )
     return rows
-
-
-def check_ratio_ordering(reports: dict[str, list[WeylRatioRow]]) -> None:
-    """The chain implies ratio_b <= ratio_bl <= ratio_D at each lambda."""
-    rb = reports["buckling"]
-    rbl = reports["bilaplacian_root"]
-    rd = reports["dirichlet"]
-    for b_, bl, d in zip(rb, rbl, rd):
-        if not (b_.ratio <= bl.ratio + 1e-15 and bl.ratio <= d.ratio + 1e-15):
-            raise InvariantViolation(
-                f"ratio ordering violated at lambda={b_.lam}"
-            )

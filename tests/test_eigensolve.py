@@ -83,18 +83,36 @@ def assert_same_parts(op, parts):
         assert np.array_equal(x, y)
 
 
-@pytest.fixture
-def asymmetric_mask():
-    # 1,250 nodes: the unit square and a disk of radius 0.3 beside it,
-    # offset so that no lattice mirror maps the mask onto itself
+def square_and_disk(offset, h):
+    """The unit square and a disk of radius 0.3 at offset beside it, placed
+    so that no lattice mirror maps the mask onto itself."""
     return rasterize(DomainSpec.union([DomainSpec.rectangle(1.0, 1.0),
                                        DomainSpec.disk(0.3)],
-                                      [(0.0, 0.0), (1.4, 0.3)]), 1 / 32)
+                                      [(0.0, 0.0), offset]), h)
+
+
+@pytest.fixture
+def asymmetric_mask():
+    # 1,399 nodes, with the disk touching the square: one connected piece
+    # and no mirror, so every solver's split is a single block
+    return square_and_disk((1.3, 0.3), 0.03)
 
 
 def parity_blocks(target):
-    """Sizes of the diagonal blocks the dense solvers split target into."""
-    return [q.shape[1] for q in eigensolve._parity_bases(target)]
+    """Sizes of the diagonal blocks that every eigensolver but inertia_count
+    splits target into, by mirror character and connected piece."""
+    return [p.stop - p.start for _, pieces in eigensolve._parity_bases(target)
+            for p in pieces]
+
+
+def twin_squares_and_bar():
+    """Two 4 x 5 squares that mirror each other across the mid-line x = 6 of
+    a 13 x 5 lattice and a 1 x 3 bar on that line, each two nodes clear of
+    the next so that B does not couple them either."""
+    interior = np.zeros((13, 5), dtype=bool)
+    interior[:4] = interior[9:] = True
+    interior[6, 1:4] = True
+    return GridMask(1.0, (0.0, 0.0), (13, 5), interior)
 
 
 def mirrored_mask(seed, dims, fill, axes):
@@ -393,13 +411,34 @@ class TestLowestK:
 
     def test_dense_block_past_the_limit_refused(self, monkeypatch):
         # k = n densifies the block, which past DENSE_LIMIT is refused like
-        # every other dense solve; k < n stays sparse
-        op = assemble_dirichlet_laplacian(
-            rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 8))
+        # every other dense solve; k < n stays sparse. A 7 x 5 rectangle with
+        # a 3 x 2 notch in one corner: connected, with no mirror, one block
+        interior = np.ones((7, 5), dtype=bool)
+        interior[:3, :2] = False
+        op = assemble_dirichlet_laplacian(GridMask(1 / 8, (0.0, 0.0), (7, 5),
+                                                   interior))
+        assert parity_blocks(op) == [op.n_rows]
         monkeypatch.setattr(eigensolve, "DENSE_LIMIT", op.n_rows - 1)
         with pytest.raises(SolverError, match="dense solve refused"):
             lowest_k(op, op.n_rows)
         assert len(lowest_k(op, op.n_rows - 1)) == op.n_rows - 1
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_solves_the_split_blocks(self, assemble, monkeypatch):
+        # the h = 1/24 disk has both mirrors: each of its four blocks is
+        # solved for its own k pairs, and nothing else is
+        op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
+        block_lowest, solved = eigensolve._block_lowest, []
+
+        def spy(m, k, tol, scale):
+            solved.append((m.shape[0], k))
+            return block_lowest(m, k, tol, scale)
+
+        monkeypatch.setattr(eigensolve, "_block_lowest", spy)
+        lowest_k(op, 20)
+        assert parity_blocks(op) == [471, 447, 447, 424]
+        assert solved == [(size, 20) for size in parity_blocks(op)]
 
     def test_truncated_cutoff(self):
         # 5 of the 225 eigenvalues below 1e4 on the 1/16 square: counting
@@ -569,11 +608,32 @@ class TestParitySplit:
         pencil = assemble_buckling_pencil(mirrored_mask(seed, dims, fill, axes))
         for target in (pencil.a, pencil.b, pencil):
             assert len(parity_blocks(target)) >= 2 ** len(axes)
+        k = min(6, pencil.n_rows)
         for target, solve in ((pencil.a, dense_spectrum),
                               (pencil.b, dense_spectrum),
-                              (pencil, generalized_spectrum)):
-            assert np.allclose(solve(target).values, dense_eigenvalues(target),
+                              (pencil, generalized_spectrum),
+                              (pencil.a, lambda op: lowest_k(op, k)),
+                              (pencil.b, lambda op: lowest_k(op, k))):
+            values = solve(target).values
+            assert np.allclose(values, dense_eigenvalues(target)[:values.size],
                                rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("mask, sizes", [
+        # the square and the disk at h = 1/32: two pieces, no mirror
+        (square_and_disk((1.4, 0.3), 1 / 32), [961, 289]),
+        # per character, the twin squares' orbits make one block of 12 or 8
+        # and the bar's one of 2 or 1 (the bar has no node off x = 6)
+        (twin_squares_and_bar(), [12, 2, 8, 1, 12, 8]),
+    ], ids=["square-and-disk", "twin-squares"])
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian,
+                                          assemble_buckling_pencil])
+    def test_pieces_split(self, mask, sizes, assemble):
+        target = assemble(mask)
+        assert parity_blocks(target) == sizes
+        solve = generalized_spectrum if hasattr(target, "b") else dense_spectrum
+        assert np.allclose(solve(target).values, dense_eigenvalues(target),
+                           rtol=1e-10, atol=0)
 
     def test_operator_not_invariant_is_not_split(self):
         # the mask has both mirrors, the operators do not: one diagonal

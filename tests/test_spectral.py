@@ -21,7 +21,6 @@ from weylcheck.spectral import (
     MaskForms,
     counting,
     cube_lower_bound,
-    check_ratio_ordering,
     eigenvalue_avoiding_grid,
     robust_count,
     solve_all_problems,
@@ -259,20 +258,6 @@ class TestWeylRatio:
         w = dense_spectrum(assemble_dirichlet_laplacian(mask))
         rows = weyl_ratio_curve(w, 2, mask.volume(), [10.0, 1e4], h=0.1)
         assert rows[0].trusted and not rows[1].trusted
-
-    def test_ratio_ordering_from_chain(self):
-        mask = random_mask(8, dims=(10, 10), h=0.2)
-        spectra = solve_all_problems(mask)
-        grid = eigenvalue_avoiding_grid(spectra.merged_values(), 20)
-        vol = mask.volume()
-        reports = {
-            "dirichlet": weyl_ratio_curve(spectra.dirichlet, 2, vol, grid, h=0.2),
-            "buckling": weyl_ratio_curve(spectra.buckling, 2, vol, grid, h=0.2),
-            "bilaplacian_root": weyl_ratio_curve(
-                spectra.bilaplacian_root, 2, vol, grid, h=0.2
-            ),
-        }
-        check_ratio_ordering(reports)
 
 
 class TestDomainMonotonicity:
