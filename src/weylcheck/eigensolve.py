@@ -350,11 +350,21 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float):
 
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
-    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``), min(k, size)
-    pairs from each diagonal block Q^T A Q of _parity_bases, merged; within
-    a block, missed copies of repeated eigenvalues are added by deflated
-    probes. Start vectors are fixed-seed random, so reruns are
-    bit-identical. Every returned pair must satisfy ||A v - w v|| <=
+    shift-invert mode at zero (``scipy.sparse.linalg.eigsh``) on each
+    diagonal block Q^T A Q of _parity_bases, merged; within a block, missed
+    copies of repeated eigenvalues are added by deflated probes.
+
+    A block of n_i of the n nodes is first asked for its share of k,
+    min(k, n_i, ceil(k * n_i / n) + 2) pairs. Let w_k be the k-th smallest
+    value of the merge. A block is complete when it was asked for
+    min(k, n_i) pairs or when its largest value lies above w_k (1 + 10 tol),
+    the tie tolerance of _complete_multiplicities: its missing values lie
+    above that too. Every other block is solved again for min(k, n_i)
+    pairs, which only lowers w_k, so the lowest k of the new merge are the
+    lowest k of A. No block is asked for more than min(k, n_i).
+
+    Start vectors are fixed-seed random, so reruns are bit-identical. Every
+    pair of the final solves must satisfy ||A v - w v|| <=
     min(tol * |A|, tol * |w| + eps * |A|), or SolverError is raised: the
     second bound is relative to the value itself, up to the rounding of
     the residual's own evaluation, so it still means something where |A|
@@ -366,17 +376,26 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     if not 1 <= k <= n:
         raise SolverError(f"k={k} out of range for n={n}")
     scale = max(op.norm_estimate(), 1.0)
-    values, resid = [], []
+
+    def solve(m, ask):
+        w, v = _block_lowest(m, ask, tol, scale)
+        return w, _residuals(m, w, v)
+
     try:
-        for m in _blocks(op.matrix, _parity_bases(op)):
-            w, v = _block_lowest(m, min(k, m.shape[0]), tol, scale)
-            values.append(w)
-            resid.append(_residuals(m, w, v))
+        blocks = list(_blocks(op.matrix, _parity_bases(op)))
+        caps = [min(k, m.shape[0]) for m in blocks]
+        solved = [solve(m, min(cap, -(-k * m.shape[0] // n) + 2))
+                  for m, cap in zip(blocks, caps)]
+        w_k = np.partition(np.concatenate([w for w, _ in solved]), k - 1)[k - 1]
+        for i, (m, cap) in enumerate(zip(blocks, caps)):
+            w = solved[i][0]
+            if w.size < cap and w.max() <= w_k * (1 + 10 * tol):
+                solved[i] = solve(m, cap)
     except SolverError:
         raise
     except (RuntimeError, la.LinAlgError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    resid, w = np.concatenate(resid), np.concatenate(values)
+    w, resid = (np.concatenate(x) for x in zip(*solved))
     bound = _residual_bound(w, tol, scale)
     if np.any(resid > bound):
         i = np.argmax(resid - bound)

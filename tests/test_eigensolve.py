@@ -125,6 +125,18 @@ def mirrored_mask(seed, dims, fill, axes):
     return GridMask(1.0, (0.0, 0.0), dims, m)
 
 
+def spy_block_lowest(monkeypatch):
+    """List that records (block, pairs asked) for every _block_lowest call."""
+    block_lowest, solved = eigensolve._block_lowest, []
+
+    def spy(m, k, tol, scale):
+        solved.append((m, k))
+        return block_lowest(m, k, tol, scale)
+
+    monkeypatch.setattr(eigensolve, "_block_lowest", spy)
+    return solved
+
+
 def moved_eigh(call, where, delta):
     """la.eigh that moves value round(where * (n - 1)) of the block solved
     on the given call by delta, and passes every other call through."""
@@ -427,18 +439,55 @@ class TestLowestK:
                                           assemble_clamped_bilaplacian])
     def test_solves_the_split_blocks(self, assemble, monkeypatch):
         # the h = 1/24 disk has both mirrors: each of its four blocks is
-        # solved for its own k pairs, and nothing else is
+        # asked for its share of k plus two, min(20, ceil(20 n_i / n) + 2),
+        # and the shares are complete, so no block is solved again
         op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
-        block_lowest, solved = eigensolve._block_lowest, []
+        solved = spy_block_lowest(monkeypatch)
+        low = lowest_k(op, 20)
+        sizes = parity_blocks(op)
+        assert sizes == [471, 447, 447, 424]
+        assert [(m.shape[0], k) for m, k in solved] == [
+            (size, min(20, -(-20 * size // op.n_rows) + 2)) for size in sizes]
+        dense = la.eigh(op.dense(), eigvals_only=True)[:20]
+        assert np.allclose(low.values, dense, rtol=1e-9)
 
-        def spy(m, k, tol, scale):
-            solved.append((m.shape[0], k))
-            return block_lowest(m, k, tol, scale)
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_block_short_of_its_share_solved_again(self, assemble, k,
+                                                   monkeypatch):
+        # a 10 x 10 square and a 2 x 50 strip, three nodes apart: two pieces
+        # of 100 nodes each and no mirror. The square, first in node order,
+        # holds the lowest value and more of the lowest k than its share of
+        # ceil(k / 2) + 2, so it alone is solved again for k pairs
+        interior = np.zeros((15, 50), dtype=bool)
+        interior[:10, :10] = True
+        interior[13:, :] = True
+        op = assemble(GridMask(1.0, (0.0, 0.0), (15, 50), interior))
+        solved = spy_block_lowest(monkeypatch)
+        low = lowest_k(op, k)
+        assert parity_blocks(op) == [100, 100]
+        share = -(-k // 2) + 2
+        assert [(m.shape[0], ask) for m, ask in solved] == [
+            (100, share), (100, share), (100, k)]
+        assert solved[2][0] is solved[0][0]
+        dense = la.eigh(op.dense(), eigvals_only=True)
+        assert la.eigh(solved[0][0].toarray(), eigvals_only=True)[0] == \
+            pytest.approx(dense[0], rel=1e-12)
+        assert np.allclose(low.values, dense[:k], rtol=1e-10)
 
-        monkeypatch.setattr(eigensolve, "_block_lowest", spy)
-        lowest_k(op, 20)
-        assert parity_blocks(op) == [471, 447, 447, 424]
-        assert solved == [(size, 20) for size in parity_blocks(op)]
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_ties_across_characters(self, assemble):
+        # on the h = 1/16 unit square the modes (i, j) and (j, i) of a double
+        # eigenvalue lie in different mirror characters when i and j differ
+        # in parity, so for some k the k-th value has a copy in another block
+        op = assemble(rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16))
+        dense = la.eigh(op.dense(), eigvals_only=True)
+        for k in range(1, 31):
+            low = lowest_k(op, k)
+            assert np.allclose(low.values, dense[:k], rtol=1e-9), k
+            assert low.cutoff == low.values[-1]
 
     def test_truncated_cutoff(self):
         # 5 of the 225 eigenvalues below 1e4 on the 1/16 square: counting
