@@ -277,11 +277,11 @@ def _complete_multiplicities(lu, w, v, k, tol, rng):
     the inverse at ARPACK's relative tolerance tol / 10 leaves its residual
     along the next Lanczos vector, which the inverse has smoothed, so its
     residual in A is of the order of tol * w / 10 rather than tol * |A| /
-    10, inside the check tol * w + eps * |A| that lowest_k applies (a pair
-    that misses it is refined in _block_lowest); eight Lanczos vectors keep
-    the probe's memory to a few copies of v. The deflation x - V (V^T x)
-    is two ``dgemv`` calls on a column-major copy of V, in scipy's BLAS for
-    the reason _ldl_update gives.
+    10, inside the check tol * w + eps * |A| of _block_lowest, which refines
+    a pair that misses it; eight Lanczos vectors keep the probe's memory to
+    a few copies of v. The deflation x - V (V^T x) is two ``dgemv`` calls on
+    a column-major copy of V, in scipy's BLAS for the reason _ldl_update
+    gives.
     """
     n = v.shape[0]
     while v.shape[1] < n:
@@ -315,14 +315,20 @@ def _residual_bound(w, tol: float, scale: float) -> np.ndarray:
     return np.minimum(tol * scale, tol * np.abs(w) + np.finfo(float).eps * scale)
 
 
-def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float):
-    """Lowest k eigenpairs of one block of the split: ARPACK's shift-invert
-    Lanczos at zero from a fixed-seed random vector, completed by
-    _complete_multiplicities; dense for k = n, which ARPACK cannot do, and
-    refused like every dense solve above DENSE_LIMIT. When a pair misses the
-    residual bound of lowest_k for the operator scale, the block's pairs
-    take one step of inverse iteration with the block's factor and a
-    Rayleigh-Ritz step on the span: ARPACK leaves a probe's residual along
+def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndarray:
+    """Lowest k eigenvalues of one block of the split, each pair checked:
+    ||M v - w v|| <= min(tol * |A|, tol * |w| + eps * |A|) for the operator
+    scale |A|, and the lowest value positive, or SolverError is raised. The
+    second bound is relative to the value itself, up to the rounding of the
+    residual's own evaluation, so it still means something where |A| is
+    many orders above the lowest values, as for the bilaplacian.
+
+    ARPACK's shift-invert Lanczos at zero from a fixed-seed random vector,
+    completed by _complete_multiplicities; dense for k = n, which ARPACK
+    cannot do, and refused like every dense solve above DENSE_LIMIT. When a
+    Lanczos pair misses the bound, the block's pairs take one step of
+    inverse iteration with the block's factor and a Rayleigh-Ritz step on
+    the span, and are checked again: ARPACK leaves a probe's residual along
     the next Lanczos vector, and the inverse damps it by the ratio of the
     eigenvalues. Pairs that meet the bound are returned untouched.
 
@@ -333,26 +339,42 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float):
     n = m.shape[0]
     if k == n:
         _check_dense(n)
-        return la.eigh(m.toarray())
-    rng = np.random.default_rng(0)
-    lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
-                      OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
-                      tol=tol / 10)
-    w, v = _complete_multiplicities(lu, w, v, k, tol, rng)
-    if np.any(_residuals(m, w, v) > _residual_bound(w, tol, scale)):
-        q = np.linalg.qr(lu.solve(v))[0]
-        w, s = la.eigh(q.T @ (m @ q))
-        v = q @ s
-    return w, v
+        w, v = la.eigh(m.toarray())
+        resid = _residuals(m, w, v)
+    else:
+        rng = np.random.default_rng(0)
+        lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
+                          OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
+                          tol=tol / 10)
+        w, v = _complete_multiplicities(lu, w, v, k, tol, rng)
+        resid = _residuals(m, w, v)
+        if np.any(resid > _residual_bound(w, tol, scale)):
+            q = np.linalg.qr(lu.solve(v))[0]
+            w, s = la.eigh(q.T @ (m @ q))
+            resid = _residuals(m, w, q @ s)
+    bound = _residual_bound(w, tol, scale)
+    if np.any(resid > bound):
+        i = np.argmax(resid - bound)
+        raise SolverError(
+            f"residual {resid[i]:.3e} of the pair at {w[i]:.6g} exceeds "
+            f"min({tol:g}*|A|, {tol:g}*|w| + eps*|A|) = {bound[i]:.3e}"
+        )
+    if w.min() <= 0:
+        raise SolverError(f"operator is not positive definite: eigenvalue "
+                          f"{w.min():.3e}")
+    return w
 
 
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
     shift-invert mode at zero (``scipy.sparse.linalg.eigsh``) on each
     diagonal block Q^T A Q of _parity_bases, merged; within a block, missed
-    copies of repeated eigenvalues are added by deflated probes.
+    copies of repeated eigenvalues are added by deflated probes, and every
+    pair is checked where it is solved (_block_lowest). The residual in the
+    block is A's own for (w, Q v), since A Q = Q (Q^T A Q) and Q is
+    orthonormal.
 
     A block of n_i of the n nodes is first asked for its share of k,
     min(k, n_i, ceil(k * n_i / n) + 2) pairs. Let w_k be the k-th smallest
@@ -363,50 +385,27 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     pairs, which only lowers w_k, so the lowest k of the new merge are the
     lowest k of A. No block is asked for more than min(k, n_i).
 
-    Start vectors are fixed-seed random, so reruns are bit-identical. Every
-    pair of the final solves must satisfy ||A v - w v|| <=
-    min(tol * |A|, tol * |w| + eps * |A|), or SolverError is raised: the
-    second bound is relative to the value itself, up to the rounding of
-    the residual's own evaluation, so it still means something where |A|
-    is many orders above the lowest values, as for the bilaplacian. The
-    residual in the block is A's own for (w, Q v), since A Q = Q (Q^T A Q)
-    and Q is orthonormal. A truncated spectrum is cut off at its largest
-    value, below which every eigenvalue is returned."""
+    Start vectors are fixed-seed random, so reruns are bit-identical. A
+    truncated spectrum is cut off at its largest value, below which every
+    eigenvalue is returned."""
     n = op.n_rows
     if not 1 <= k <= n:
         raise SolverError(f"k={k} out of range for n={n}")
     scale = max(op.norm_estimate(), 1.0)
-
-    def solve(m, ask):
-        w, v = _block_lowest(m, ask, tol, scale)
-        return w, _residuals(m, w, v)
-
     try:
         blocks = list(_blocks(op.matrix, _parity_bases(op)))
         caps = [min(k, m.shape[0]) for m in blocks]
-        solved = [solve(m, min(cap, -(-k * m.shape[0] // n) + 2))
+        solved = [_block_lowest(m, min(cap, -(-k * m.shape[0] // n) + 2), tol, scale)
                   for m, cap in zip(blocks, caps)]
-        w_k = np.partition(np.concatenate([w for w, _ in solved]), k - 1)[k - 1]
+        w_k = np.partition(np.concatenate(solved), k - 1)[k - 1]
         for i, (m, cap) in enumerate(zip(blocks, caps)):
-            w = solved[i][0]
-            if w.size < cap and w.max() <= w_k * (1 + 10 * tol):
-                solved[i] = solve(m, cap)
+            if solved[i].size < cap and solved[i].max() <= w_k * (1 + 10 * tol):
+                solved[i] = _block_lowest(m, cap, tol, scale)
     except SolverError:
         raise
     except (RuntimeError, la.LinAlgError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    w, resid = (np.concatenate(x) for x in zip(*solved))
-    bound = _residual_bound(w, tol, scale)
-    if np.any(resid > bound):
-        i = np.argmax(resid - bound)
-        raise SolverError(
-            f"residual {resid[i]:.3e} of the pair at {w[i]:.6g} exceeds "
-            f"min({tol:g}*|A|, {tol:g}*|w| + eps*|A|) = {bound[i]:.3e}"
-        )
-    w = np.sort(w)[:k]
-    if w[0] <= 0:
-        raise SolverError(f"operator is not positive definite: eigenvalue "
-                          f"{w[0]:.3e}")
+    w = np.sort(np.concatenate(solved))[:k]
     cutoff = math.inf if k == n else float(w[-1])
     return Spectrum("dirichlet", w, cutoff=cutoff, source="grid")
 

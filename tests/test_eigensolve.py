@@ -240,7 +240,8 @@ class TestGeneralizedSpectrum:
     def test_matches_explicit_reduction(self):
         masks = [
             random_mask(4, dims=(8, 8)),
-            # taller than wide: the nodes are renumbered by _slab_order
+            # taller than wide: _parity_bases puts x, the shorter axis,
+            # inside each slab
             random_mask(5, dims=(6, 15)),
             rasterize(DomainSpec.disk(1.0), 1 / 20),
             # 18 connected pieces
@@ -409,17 +410,35 @@ class TestLowestK:
     def test_moved_value_fails_residual_check(self, assemble, monkeypatch):
         # on the 1/24 disk, tol * |A| admits a lowest value moved by 1e-6
         # relative, 8 times over for A and 2,000 times over for B;
-        # tol * w + eps * |A| does not
+        # tol * w + eps * |A| does not. k = n solves every block densely,
+        # on the branch that has no refinement to repair the move
         op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
-        block_lowest = eigensolve._block_lowest
+        eigh = la.eigh
 
-        def moved(m, k, tol, scale):
-            w, v = block_lowest(m, k, tol, scale)
-            return w * np.r_[1 + 1e-6, np.ones(k - 1)], v
+        def moved(*args, **kw):
+            w, v = eigh(*args, **kw)
+            w[0] *= 1 + 1e-6
+            return w, v
 
-        monkeypatch.setattr(eigensolve, "_block_lowest", moved)
+        monkeypatch.setattr(la, "eigh", moved)
         with pytest.raises(SolverError, match="residual"):
-            lowest_k(op, 20)
+            lowest_k(op, op.n_rows)
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_moved_lanczos_value_is_refined(self, assemble, monkeypatch):
+        # the same move on each block's Lanczos pairs misses the bound, and
+        # the inverse iteration and Rayleigh-Ritz step repair it
+        op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
+        complete = eigensolve._complete_multiplicities
+
+        def moved(*args):
+            w, v = complete(*args)
+            return w * np.r_[1 + 1e-6, np.ones(w.size - 1)], v
+
+        monkeypatch.setattr(eigensolve, "_complete_multiplicities", moved)
+        dense = la.eigh(op.dense(), eigvals_only=True)[:20]
+        assert np.allclose(lowest_k(op, 20).values, dense, rtol=1e-9)
 
     def test_dense_block_past_the_limit_refused(self, monkeypatch):
         # k = n densifies the block, which past DENSE_LIMIT is refused like
