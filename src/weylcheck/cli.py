@@ -162,17 +162,14 @@ def cmd_chain(args, out: Path) -> dict:
 def cmd_super(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     parts = spectral.split_separated(mask, seed=args.seed)
-    whole = spectral.solve_all_problems(mask)
     if args.lam is None:
-        # the resolved threshold is recorded as the option, so the summary
-        # replays with --lam
-        grid = spectral.eigenvalue_avoiding_grid(whole.merged_values(), 999)
+        # only the default threshold needs the whole's spectra; it is
+        # recorded as the option, so the summary replays with --lam
+        merged = spectral.solve_all_problems(mask).merged_values()
+        grid = spectral.eigenvalue_avoiding_grid(merged, 999)
         args.lam = float(grid[len(grid) // 2])
     report = spectral.superadditivity_check(
-        whole,
-        [spectral.solve_all_problems(p) for p in parts if p.n_nodes],
-        args.lam,
-    )
+        spectral.MaskForms(mask), [spectral.MaskForms(p) for p in parts], args.lam)
     sums = {p: sum(q[p] for q in report.parts) for p in report.whole}
     _write_csv(out / "superadditivity.csv", "problem,whole,parts_sum,status",
                [(p, n, sums[p], "PASS" if n >= sums[p] else "FAIL")

@@ -512,7 +512,7 @@ def _slab_inertia(m: sp.csr_matrix, scale: float) -> int:
             continue
         s = np.block([[s, e], [e.T, d]])
         hi = nxt
-    lam = np.linalg.eigvalsh(s)
+    lam = la.eigh(s, eigvals_only=True)
     if np.abs(lam).min() <= tol:
         raise ShiftOnEigenvalueError(
             f"last-slab eigenvalue {lam[np.abs(lam).argmin()]:.3e} below "

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylcheck import spectral
+from weylcheck import eigensolve, spectral
 from weylcheck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,9 +263,9 @@ def test_rerun_byte_identical(square_json, tmp_path):
 
 
 def test_each_mask_solved_once(square_json, tmp_path, monkeypatch):
-    # one triple of dense spectra (A, B and the pencil) per mask: chain
-    # counts in the spectra its thresholds came from, and super solves the
-    # whole mask once for its threshold and its counts
+    # chain counts in the one triple of dense spectra (A, B and the pencil)
+    # its thresholds came from; super solves only the whole mask, once, for
+    # its default threshold, and counts the whole and its parts by inertia
     calls = []
     for name in ("dense_spectrum", "generalized_spectrum"):
         original = getattr(spectral, name)
@@ -287,12 +287,30 @@ def test_each_mask_solved_once(square_json, tmp_path, monkeypatch):
     assert triples() == 1
     # seed 0 splits the mask into two parts, seed 3 leaves one part empty
     for seed, nonempty in ((0, 2), (3, 1)):
-        out = tmp_path / f"super{seed}"
-        assert main(["super", "--domain", square_json, "--h", "0.1",
-                     "--seed", str(seed), "-o", str(out)]) == 0
-        part_nodes = read_summary(out)["results"]["part_nodes"]
-        assert sum(n > 0 for n in part_nodes) == nonempty
-        assert triples() == 1 + nonempty
+        for lam in ([], ["--lam", "300.5"]):
+            out = tmp_path / f"super{seed}{len(lam)}"
+            assert main(["super", "--domain", square_json, "--h", "0.1",
+                         "--seed", str(seed), *lam, "-o", str(out)]) == 0
+            part_nodes = read_summary(out)["results"]["part_nodes"]
+            assert sum(n > 0 for n in part_nodes) == nonempty
+            assert triples() == (0 if lam else 1)
+
+
+def test_super_lam_not_bounded_by_dense_limit(square_json, tmp_path,
+                                             monkeypatch):
+    # with --lam, super counts the whole and its parts by inertia, so a
+    # dense limit below the 81 nodes of the h = 0.1 square refuses nothing;
+    # the default threshold still needs the whole's dense spectra
+    args = ["super", "--domain", square_json, "--h", "0.1", "--lam", "300.5"]
+    assert main([*args, "-o", str(tmp_path / "dense")]) == 0
+    monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 80)
+    assert main([*args, "-o", str(tmp_path / "limited")]) == 0
+    assert read_summary(tmp_path / "limited")["results"]["nodes"] == 81
+    for name in ("superadditivity.csv", "summary.json"):
+        assert ((tmp_path / "limited" / name).read_bytes()
+                == (tmp_path / "dense" / name).read_bytes())
+    assert main(["super", "--domain", square_json, "--h", "0.1",
+                 "-o", str(tmp_path / "default")]) == 3
 
 
 @pytest.mark.parametrize("args", [
