@@ -6,6 +6,7 @@ counting machinery refuses to evaluate past it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,35 +83,58 @@ def _checked_eigenvalues(m: np.ndarray, trace: float, frob2: float,
     to 1e-12 * n * scale and 1e-12 * n * scale^2 for a bound scale >= ||M||_2.
     The caller reads tr M and ||M||_F^2 from M before m is overwritten."""
     w = la.eigh(m, eigvals_only=True, overwrite_a=True)
-    tol = 1e-12 * w.size * scale
-    trace_res = abs(w.sum() - trace)
-    frob_res = abs(w @ w - frob2)
-    if trace_res > tol or frob_res > tol * scale:
-        raise SolverError(
-            f"eigenvalues fail the trace identities: trace residual "
-            f"{trace_res:.3e} (tolerance {tol:.3e}), Frobenius residual "
-            f"{frob_res:.3e} (tolerance {tol * scale:.3e})"
-        )
+    _check_identities("eigenvalues", w.sum() - trace, w @ w - frob2, w.size, scale)
     return w
 
 
-def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice]]]:
-    """Orthonormal bases Q, one per character of the group of lattice
-    mirrors that the operator commutes with (for a pencil, both A and B),
-    each with the column ranges of its connected pieces: Q^T M Q is block
-    diagonal, one block per range, and M's spectrum is the union of theirs.
+def _check_identities(what: str, trace_res: float, frob_res: float, n: int,
+                      scale: float):
+    """SolverError unless the trace residual is at most 1e-12 * n * scale
+    and the Frobenius residual at most 1e-12 * n * scale^2."""
+    tol = 1e-12 * n * scale
+    if abs(trace_res) > tol or abs(frob_res) > tol * scale:
+        raise SolverError(
+            f"{what} fail the trace identities: trace residual "
+            f"{abs(trace_res):.3e} (tolerance {tol:.3e}), Frobenius residual "
+            f"{abs(frob_res):.3e} (tolerance {tol * scale:.3e})"
+        )
+
+
+def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice], int]]:
+    """Orthonormal bases Q, one per block of the split by the lattice
+    symmetries that the operator commutes with (for a pencil, both A and B),
+    each with the column ranges of its connected pieces and its
+    multiplicity: Q^T M Q is block diagonal, one block per range, and M's
+    spectrum is the union of theirs, each value repeated by the
+    multiplicity.
 
     Pieces are the components of the graph of |M|, or of |A| + |B| for a
-    pencil (S = B - A^2 couples only nodes that B couples). A mirror is the
-    flip of the mask's bounding box along x or y, kept only when it maps the
-    mask onto itself and every matrix is bitwise invariant under the node
-    permutation it induces: a split is exact, never assumed from the mask.
-    A column of Q is one orbit of at most 4 nodes, with entries +-1,
-    +-1/sqrt(2) or +-1/2: even or odd under each kept mirror, zero where an
-    odd character meets the mirror line. A piece and its mirror images share
-    their orbits and so one range, in which the orbits run in slab order of
-    the fundamental domain (the shorter axis of its box inside each slab),
-    so a banded matrix stays banded; with no grid, nodes run in index order."""
+    pencil (S = B - A^2 couples only nodes that B couples). A symmetry is
+    the flip of the mask's bounding box along x or y or, when the box is
+    square, its transposition (x, y) -> (y, x); it is kept only when it maps
+    the mask onto itself and every matrix is bitwise invariant under the
+    node permutation it induces: a split is exact, never assumed from the
+    mask. A kept transposition with one flip implies the other.
+
+    Without the transposition there is one block per character of the
+    group of kept flips (1, 2 or 4). With it and both flips the group is
+    D4, the square's eight symmetries: four blocks for its one-dimensional
+    characters (the same sign under both flips, either sign under the
+    transposition) and one, of multiplicity 2, for its two-dimensional
+    character. That block is the (x-even, y-odd) one of the flips alone;
+    the transposition maps it, signed and permuted, onto the (x-odd,
+    y-even) one, which is bitwise the same problem and is not built.
+
+    A column of Q is one orbit of at most 8 nodes under the block's group:
+    the coefficient of a node is the sum of chi(g) over the group elements
+    g that carry it onto the orbit's lowest node, summed over the abstract
+    group, so a flip that fixes every node of a one-column mask still
+    cancels its odd characters; a nonzero column has entries +-1/sqrt(m)
+    on its m nodes. A piece and its images share their orbits and so one
+    range, in which the orbits run in slab order of the fundamental
+    domain (the shorter axis of its box inside each slab, or the folded
+    coordinates by (max, min) in the octant), so a banded matrix stays
+    banded; with no grid, nodes run in index order."""
     if isinstance(target, OperatorPencil):
         grid, mats = target.a.grid, [target.a.matrix, target.b.matrix]
     else:
@@ -118,75 +142,125 @@ def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice]]]:
     n = target.n_rows
     piece = csgraph.connected_components(sum(abs(m) for m in mats),
                                          directed=False)[1]
-    orbit, weight, sides = np.arange(n), np.ones(n), []
+    flips, swap, label = [], None, np.arange(n)
     if grid is not None and grid.n_nodes == n:
         coords = np.nonzero(grid.interior)
         index = grid.node_index()
-        folds = []
-        for axis, x in enumerate(coords):
-            lo, hi = x.min(), x.max()
-            image = list(coords)
-            image[axis] = lo + hi - x
-            p = index[tuple(image)]
+
+        def kept(image):
+            p = index[image]
             if (p >= 0).all() and all((m[p][:, p] != m).nnz == 0 for m in mats):
-                folds.append(np.minimum(x - lo, hi - x))
-                # -1 before the mirror line, 0 on it, +1 past it
-                sides.append(np.sign(2 * x - lo - hi))
-            else:
-                folds.append(x - lo)
-                sides.append(None)
-        fx, fy = folds
+                return p
+            return None
+
+        (x, y), lo, hi = coords, [c.min() for c in coords], [c.max() for c in coords]
+        px = kept((lo[0] + hi[0] - x, y))
+        if hi[0] - lo[0] == hi[1] - lo[1]:
+            swap = kept((lo[0] + y - lo[1], lo[1] + x - lo[0]))
+        # the y flip is the x flip conjugated by a kept transposition
+        py = (kept((x, lo[1] + hi[1] - y)) if swap is None else
+              None if px is None else swap[px[swap]])
+        flips = [p for p in (px, py) if p is not None]
+        fx, fy = (c - l if p is None else np.minimum(c - l, h - c)
+                  for c, l, h, p in zip(coords, lo, hi, (px, py)))
         nx, ny = fx.max() + 1, fy.max() + 1
-        orbit = np.unique(fx * ny + fy if ny <= nx else fy * nx + fx,
-                          return_inverse=True)[1]
-        weight = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
-    # an orbit joins the range of the lowest-labelled piece it meets
-    group = np.full(n, n)
-    np.minimum.at(group, orbit, piece)
-    key = group[orbit] * n + orbit
+        label = fx * ny + fy if ny <= nx else fy * nx + fx
+    # (generators, orbit labels, characters as signs per generator,
+    # multiplicity) of each group whose orbits make the columns
+    if swap is None:
+        groups = [(flips, label, list(itertools.product((1, -1),
+                                                        repeat=len(flips))), 1)]
+    else:
+        # the folds agree across the diagonal: (max, min) is the octant
+        octant = np.maximum(fx, fy) * nx + np.minimum(fx, fy)
+        groups = [(flips + [swap], octant,
+                   [(s,) * len(flips) + (t,) for s in ((1, -1) if flips else (1,))
+                    for t in (1, -1)], 1)]
+        if flips:
+            groups.append((flips, label, [(1, -1)], 2))
     bases = []
-    for parity in np.ndindex(*(1 if s is None else 2 for s in sides)):
-        sign = np.ones(n)
-        for odd, side in zip(parity, sides):
-            if odd:
-                sign = sign * -side
-        keep = np.flatnonzero(sign)
-        if keep.size:
-            keys, cols = np.unique(key[keep], return_inverse=True)
-            cuts = np.r_[0, np.flatnonzero(np.diff(keys // n)) + 1,
-                         keys.size].tolist()
-            bases.append((sp.csr_matrix((sign[keep] * weight[keep], (keep, cols)),
-                                        shape=(n, keys.size)),
-                          [slice(*c) for c in zip(cuts[:-1], cuts[1:])]))
+    for gens, label, characters, mult in groups:
+        elements = [(np.arange(n), ())]  # (node permutation, exponents)
+        for p in gens:
+            elements = ([(q, e + (0,)) for q, e in elements]
+                        + [(p[q], e + (1,)) for q, e in elements])
+        perms = [q for q, _ in elements]
+        rep = np.minimum.reduce(perms)
+        hits = [q == rep for q in perms]
+        # an orbit joins the range of the lowest-labelled piece it meets
+        group = np.full(label.max() + 1, n)
+        group[label] = np.minimum.reduce([piece[q] for q in perms])
+        weight = 1.0 / np.sqrt(np.bincount(label)[label])
+        for signs in characters:
+            coef = sum(math.prod(s for s, b in zip(signs, e) if b) * hit
+                       for (_, e), hit in zip(elements, hits))
+            sign = np.sign(coef)
+            keep = np.flatnonzero(sign)
+            if not keep.size:
+                continue
+            alive = np.zeros(group.size, dtype=bool)
+            alive[label[keep]] = True
+            order = np.flatnonzero(alive)
+            order = order[np.argsort(group[order], kind="stable")]
+            col = np.empty(group.size, dtype=np.int64)
+            col[order] = np.arange(order.size)
+            cuts = np.r_[0, np.flatnonzero(np.diff(group[order])) + 1,
+                         order.size].tolist()
+            q = sp.csr_matrix((sign[keep] * weight[keep], col[label[keep]],
+                               np.r_[0, np.cumsum(sign != 0)]),
+                              shape=(n, order.size))
+            bases.append((q, [slice(*c) for c in zip(cuts[:-1], cuts[1:])], mult))
     return bases
 
 
-def _blocks(m: sp.csr_matrix, bases):
-    """The diagonal blocks of m in the split _parity_bases gives: Q^T M Q
-    for each character, made exactly symmetric from its lower triangle, cut
-    at its pieces' column ranges."""
-    for q, pieces in bases:
+def _blocks(m: sp.csr_matrix, bases, scale: float) -> list[tuple[sp.csr_matrix, int]]:
+    """The diagonal blocks of m in the split _parity_bases gives, each with
+    its multiplicity: Q^T M Q for each basis, made exactly symmetric from
+    its lower triangle, cut at its pieces' column ranges.
+
+    The split is checked against the whole of m, which stores each entry
+    once: sum mult_i tr M_i = tr M and sum mult_i ||M_i||_F^2 = ||M||_F^2,
+    to 1e-12 * n * scale and 1e-12 * n * scale^2 for a bound scale >=
+    ||M||_2, or SolverError. Both hold exactly for a correct split, whose
+    dropped couplings are zero, so a wrong multiplicity or a symmetry kept
+    wrongly raises."""
+    blocks = []
+    for q, pieces, mult in bases:
         low = sp.tril(q.T @ m @ q, format="csr")
         full = (low + sp.tril(low, -1).T).tocsr()
-        yield from (full[p, p] for p in pieces)
+        blocks += [(full[p, p], mult) for p in pieces]
+    # sums of squares by reduction, not numpy's BLAS dot: its threads, woken
+    # past 10^4 entries, would spin beside scipy's (see _ldl_update)
+    _check_identities(
+        "the split's blocks",
+        sum(mult * b.diagonal().sum() for b, mult in blocks) - m.diagonal().sum(),
+        sum(mult * np.square(b.data).sum() for b, mult in blocks)
+        - np.square(m.data).sum(),
+        m.shape[0], scale)
+    return blocks
 
 
 def dense_spectrum(op: SymmetricOperator) -> Spectrum:
-    """All eigenvalues, one diagonal block of the split by mirror characters
-    and connected pieces (_parity_bases) after another, each checked by
-    _checked_eigenvalues against its own trace and Frobenius norm at the
-    row-sum norm of the operator, which bounds every block's.
+    """All eigenvalues, one diagonal block of the split by symmetry
+    characters and connected pieces (_parity_bases) after another, each
+    repeated by its multiplicity. The split is checked against the operator
+    (_blocks), and each block by _checked_eigenvalues against its own trace
+    and Frobenius norm, both at the row-sum norm of the operator, which
+    bounds every block's.
 
     A block is densified once, in LAPACK's column-major layout, and the
     reduction overwrites that copy; the identities read the sparse block,
     whose CSR storage holds each entry once. So the largest dense array is
-    the largest block: a quarter of n on a mask with two mirrors."""
+    the largest block: about a quarter of n on a mask with two mirrors, and
+    on a mask with all eight symmetries of the square too, where the block
+    of the two-dimensional character is that size and the four others are
+    an eighth."""
     _check_dense(op.n_rows)
     scale = max(op.norm_estimate(), 1.0)
     values = []
-    for m in _blocks(op.matrix, _parity_bases(op)):
-        values.append(_checked_eigenvalues(m.toarray(order="F"), m.diagonal().sum(),
-                                           m.data @ m.data, scale))
+    for m, mult in _blocks(op.matrix, _parity_bases(op), scale):
+        values.append(np.repeat(_checked_eigenvalues(
+            m.toarray(order="F"), m.diagonal().sum(), m.data @ m.data, scale), mult))
     return Spectrum("dirichlet", np.concatenate(values), cutoff=math.inf,
                     source="grid")
 
@@ -237,18 +311,20 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectr
     """Lowest k eigenvalues of B u = mu A u; a truncated spectrum is complete
     below its cutoff, the (k+1)-th value.
 
-    The pencil is split by the mirrors that both A and B commute with and
-    by its connected pieces (_parity_bases) into the block pencils
-    (Q^T B Q, Q^T A Q), solved one after another; their values are merged
-    and sorted. Each block is reduced to C = L^-1 B L^-T for the banded
-    Cholesky factor A = L L^T (columns of Q in slab order, so the shorter
-    axis of the fundamental domain sets the bandwidth w), formed in the
+    The pencil is split by the symmetries that both A and B commute with
+    and by its connected pieces (_parity_bases) into the block pencils
+    (Q^T B Q, Q^T A Q), solved one after another; their values, each
+    repeated by its block's multiplicity, are merged and sorted. The
+    splits of A and of S = B - A^2 are checked against the whole (_blocks).
+    Each block is reduced to C = L^-1 B L^-T for the banded
+    Cholesky factor A = L L^T (columns of Q in slab order of the
+    fundamental domain, which sets the bandwidth w), formed in the
     lower triangle of one column-major array as C = L^T L + Y S_JJ Y^T.
     S = B - A^2 is sparse: for the assembled forms B = A^2 + R^T R, with R
     the rows of D outside the mask, so J, the orbits where Q^T S Q has an
     entry, are those next to the boundary; for any other pencil J grows and
     C stays exact, since Q^T A^2 Q = (Q^T A Q)^2 when A commutes with the
-    mirrors and couples no two pieces. Y = L^-1 I_J is one banded
+    symmetries and couples no two pieces. Y = L^-1 I_J is one banded
     triangular solve, L^T L is written diagonal by diagonal, and the
     rank-|J| term is added by one BLAS-3 ``syr2k``. C's eigenvalues are
     then computed in place and checked by _checked_eigenvalues, with the
@@ -256,8 +332,11 @@ def generalized_spectrum(pencil: OperatorPencil, k: int | None = None) -> Spectr
     _check_dense(pencil.n_rows)
     a, b = pencil.a.matrix, pencil.b.matrix
     bases = _parity_bases(pencil)
-    mu = np.sort(np.concatenate([_pencil_block(*blocks) for blocks in
-                                 zip(_blocks(a, bases), _blocks(b - a @ a, bases))]))
+    norm_a = max(pencil.a.norm_estimate(), 1.0)
+    blocks = zip(_blocks(a, bases, norm_a),
+                 _blocks(b - a @ a, bases, pencil.b.norm_estimate() + norm_a**2))
+    mu = np.sort(np.concatenate([np.repeat(_pencil_block(ma, ms), mult)
+                                 for (ma, mult), (ms, _) in blocks]))
     cutoff = math.inf
     if k is not None and k < mu.size:
         mu, cutoff = mu[:k], float(mu[k])
@@ -315,7 +394,7 @@ def _residual_bound(w, tol: float, scale: float) -> np.ndarray:
     return np.minimum(tol * scale, tol * np.abs(w) + np.finfo(float).eps * scale)
 
 
-def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndarray:
+def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float, lu=None):
     """Lowest k eigenvalues of one block of the split, each pair checked:
     ||M v - w v|| <= min(tol * |A|, tol * |w| + eps * |A|) for the operator
     scale |A|, and the lowest value positive, or SolverError is raised. The
@@ -325,12 +404,15 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndar
 
     ARPACK's shift-invert Lanczos at zero from a fixed-seed random vector,
     completed by _complete_multiplicities; dense for k = n, which ARPACK
-    cannot do, and refused like every dense solve above DENSE_LIMIT. When a
-    Lanczos pair misses the bound, the block's pairs take one step of
-    inverse iteration with the block's factor and a Rayleigh-Ritz step on
-    the span, and are checked again: ARPACK leaves a probe's residual along
-    the next Lanczos vector, and the inverse damps it by the ratio of the
-    eigenvalues. Pairs that meet the bound are returned untouched.
+    cannot do, and refused like every dense solve above DENSE_LIMIT. The
+    block's SuperLU factor (None from the dense branch) is returned with
+    the values; passed back, it solves the block again without a second
+    factorization. When a Lanczos pair misses the bound, the block's pairs
+    take one step of inverse iteration with the block's factor and a
+    Rayleigh-Ritz step on the span, and are checked again: ARPACK leaves a
+    probe's residual along the next Lanczos vector, and the inverse damps
+    it by the ratio of the eigenvalues. Pairs that meet the bound are
+    returned untouched.
 
     The block is symmetric positive definite, so elimination is stable
     without row interchanges: SuperLU factors it in symmetric mode (a
@@ -343,8 +425,9 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndar
         resid = _residuals(m, w, v)
     else:
         rng = np.random.default_rng(0)
-        lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+        if lu is None:
+            lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
                           OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
                           tol=tol / 10)
@@ -364,26 +447,36 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndar
     if w.min() <= 0:
         raise SolverError(f"operator is not positive definite: eigenvalue "
                           f"{w.min():.3e}")
-    return w
+    return w, lu
 
 
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
     shift-invert mode at zero (``scipy.sparse.linalg.eigsh``) on each
-    diagonal block Q^T A Q of _parity_bases, merged; within a block, missed
-    copies of repeated eigenvalues are added by deflated probes, and every
-    pair is checked where it is solved (_block_lowest). The residual in the
-    block is A's own for (w, Q v), since A Q = Q (Q^T A Q) and Q is
-    orthonormal.
+    diagonal block Q^T A Q of _parity_bases, merged with each value repeated
+    by its block's multiplicity; the split is checked against A (_blocks).
+    Within a block, missed copies of repeated eigenvalues are added by
+    deflated probes, and every pair is checked where it is solved
+    (_block_lowest). The residual in the block is A's own for (w, Q v),
+    since A Q = Q (Q^T A Q) and Q is orthonormal.
 
-    A block of n_i of the n nodes is first asked for its share of k,
-    min(k, n_i, ceil(k * n_i / n) + 2) pairs. Let w_k be the k-th smallest
-    value of the merge. A block is complete when it was asked for
-    min(k, n_i) pairs or when its largest value lies above w_k (1 + 10 tol),
-    the tie tolerance of _complete_multiplicities: its missing values lie
-    above that too. Every other block is solved again for min(k, n_i)
-    pairs, which only lowers w_k, so the lowest k of the new merge are the
-    lowest k of A. No block is asked for more than min(k, n_i).
+    A block of n_i of the n nodes with multiplicity m_i can hold at most
+    cap_i = min(ceil(k / m_i), n_i) distinct values of the lowest k. It is
+    first asked for its share, min(cap_i, ceil(k * n_i / n) + 2) pairs: a
+    doubled block spans 2 n_i dimensions, so its share of distinct values
+    is the same. Let w_k be the k-th smallest value of the merge. A block
+    is complete when it was asked for cap_i pairs or when its largest value
+    lies above w_k (1 + 10 tol), the tie tolerance of
+    _complete_multiplicities: its missing values lie above that too. Every
+    other block is solved again for cap_i pairs, which only lowers w_k, so
+    the lowest k of the new merge are the lowest k of A.
+
+    The block that falls short is, in practice, the first: the trivial
+    character's, whose quotient has Neumann conditions on the mirror lines
+    and so more low values than its share. It is solved last and keeps its
+    SuperLU factor for its second solve; every other block's factor is
+    dropped as soon as its first solve returns, so one factor is held at a
+    time, and such a block is factored again if it falls short.
 
     Start vectors are fixed-seed random, so reruns are bit-identical. A
     truncated spectrum is cut off at its largest value, below which every
@@ -393,19 +486,29 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
         raise SolverError(f"k={k} out of range for n={n}")
     scale = max(op.norm_estimate(), 1.0)
     try:
-        blocks = list(_blocks(op.matrix, _parity_bases(op)))
-        caps = [min(k, m.shape[0]) for m in blocks]
-        solved = [_block_lowest(m, min(cap, -(-k * m.shape[0] // n) + 2), tol, scale)
-                  for m, cap in zip(blocks, caps)]
-        w_k = np.partition(np.concatenate(solved), k - 1)[k - 1]
-        for i, (m, cap) in enumerate(zip(blocks, caps)):
+        blocks = _blocks(op.matrix, _parity_bases(op), scale)
+        caps = [min(-(-k // mult), m.shape[0]) for m, mult in blocks]
+        asks = [min(cap, -(-k * m.shape[0] // n) + 2)
+                for (m, _), cap in zip(blocks, caps)]
+        # the first block last, so that its factor is the one kept
+        solved = [None] + [_block_lowest(m, ask, tol, scale)[0]
+                           for (m, _), ask in zip(blocks[1:], asks[1:])]
+        solved[0], lu = _block_lowest(blocks[0][0], asks[0], tol, scale)
+
+        def merged():
+            return np.concatenate([np.repeat(w, mult)
+                                   for w, (_, mult) in zip(solved, blocks)])
+
+        w_k = np.partition(merged(), k - 1)[k - 1]
+        for i, ((m, _), cap) in enumerate(zip(blocks, caps)):
             if solved[i].size < cap and solved[i].max() <= w_k * (1 + 10 * tol):
-                solved[i] = _block_lowest(m, cap, tol, scale)
+                solved[i] = _block_lowest(m, cap, tol, scale, lu)[0]
+            lu = None  # only the first block's factor is kept
     except SolverError:
         raise
     except (RuntimeError, la.LinAlgError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    w = np.sort(np.concatenate(solved))[:k]
+    w = np.sort(merged())[:k]
     cutoff = math.inf if k == n else float(w[-1])
     return Spectrum("dirichlet", w, cutoff=cutoff, source="grid")
 

@@ -100,9 +100,15 @@ def asymmetric_mask():
 
 def parity_blocks(target):
     """Sizes of the diagonal blocks that every eigensolver but inertia_count
-    splits target into, by mirror character and connected piece."""
-    return [p.stop - p.start for _, pieces in eigensolve._parity_bases(target)
+    splits target into, by symmetry character and connected piece."""
+    return [p.stop - p.start for _, pieces, _ in eigensolve._parity_bases(target)
             for p in pieces]
+
+
+def multiplicities(target):
+    """The multiplicity of each block of parity_blocks(target)."""
+    return [mult for _, pieces, mult in eigensolve._parity_bases(target)
+            for _ in pieces]
 
 
 def twin_squares_and_bar():
@@ -129,9 +135,9 @@ def spy_block_lowest(monkeypatch):
     """List that records (block, pairs asked) for every _block_lowest call."""
     block_lowest, solved = eigensolve._block_lowest, []
 
-    def spy(m, k, tol, scale):
+    def spy(m, k, *args):
         solved.append((m, k))
-        return block_lowest(m, k, tol, scale)
+        return block_lowest(m, k, *args)
 
     monkeypatch.setattr(eigensolve, "_block_lowest", spy)
     return solved
@@ -219,13 +225,14 @@ class TestDenseSpectrum:
     @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
                                           assemble_clamped_bilaplacian])
     def test_moved_value_raises(self, assemble, monkeypatch):
-        # one eigenvalue of one parity block off by 1e-8*|M|, at either end
-        # or the middle, breaks that block's trace identity on the
-        # 1,521-node square
+        # one eigenvalue of one block off by 1e-8*|M|, at either end or the
+        # middle, breaks that block's trace identity on the 1,521-node
+        # square; the last block is the doubled one
         op = assemble(rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
-        assert parity_blocks(op) == [400, 380, 380, 361]
+        assert parity_blocks(op) == [210, 190, 190, 171, 380]
+        assert multiplicities(op) == [1, 1, 1, 1, 2]
         dense_spectrum(op)
-        for call, where in ((0, 0.0), (1, 0.5), (3, 1.0)):
+        for call, where in ((0, 0.0), (1, 0.5), (3, 1.0), (4, 0.5)):
             monkeypatch.setattr(la, "eigh", moved_eigh(
                 call, where, 1e-8 * op.norm_estimate()))
             with pytest.raises(SolverError):
@@ -285,14 +292,15 @@ class TestGeneralizedSpectrum:
         assert_same_parts(pencil.b, parts[1])
 
     def test_moved_value_raises(self, monkeypatch):
-        # one value of one parity block of C off by 1e-8*|C|, at either end
-        # or the middle, breaks that block's trace identity on the
-        # 1,521-node square
+        # one value of one block of C off by 1e-8*|C|, at either end or the
+        # middle, breaks that block's trace identity on the 1,521-node
+        # square; the last block is the doubled one
         pencil = assemble_buckling_pencil(
             rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
-        assert parity_blocks(pencil) == [400, 380, 380, 361]
+        assert parity_blocks(pencil) == [210, 190, 190, 171, 380]
+        assert multiplicities(pencil) == [1, 1, 1, 1, 2]
         w = generalized_spectrum(pencil).values
-        for call, where in ((0, 0.0), (2, 0.5), (3, 1.0)):
+        for call, where in ((0, 0.0), (2, 0.5), (3, 1.0), (4, 0.0)):
             monkeypatch.setattr(la, "eigh", moved_eigh(call, where, 1e-8 * w[-1]))
             with pytest.raises(SolverError):
                 generalized_spectrum(pencil)
@@ -457,16 +465,19 @@ class TestLowestK:
     @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
                                           assemble_clamped_bilaplacian])
     def test_solves_the_split_blocks(self, assemble, monkeypatch):
-        # the h = 1/24 disk has both mirrors: each of its four blocks is
-        # asked for its share of k plus two, min(20, ceil(20 n_i / n) + 2),
-        # and the shares are complete, so no block is solved again
+        # the h = 1/24 disk has all eight symmetries of the square: each of
+        # its five blocks is asked for its share of k plus two,
+        # min(cap, ceil(20 n_i / n) + 2) with cap = min(ceil(20 / m_i), n_i)
+        # for multiplicity m_i, the first block last; the shares are
+        # complete, so no block is solved again
         op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
         solved = spy_block_lowest(monkeypatch)
         low = lowest_k(op, 20)
         sizes = parity_blocks(op)
-        assert sizes == [471, 447, 447, 424]
+        assert sizes == [244, 227, 220, 204, 447]
+        assert multiplicities(op) == [1, 1, 1, 1, 2]
         assert [(m.shape[0], k) for m, k in solved] == [
-            (size, min(20, -(-20 * size // op.n_rows) + 2)) for size in sizes]
+            (227, 5), (220, 5), (204, 5), (447, 7), (244, 5)]
         dense = la.eigh(op.dense(), eigvals_only=True)[:20]
         assert np.allclose(low.values, dense, rtol=1e-9)
 
@@ -476,22 +487,32 @@ class TestLowestK:
     def test_block_short_of_its_share_solved_again(self, assemble, k,
                                                    monkeypatch):
         # a 10 x 10 square and a 2 x 50 strip, three nodes apart: two pieces
-        # of 100 nodes each and no mirror. The square, first in node order,
-        # holds the lowest value and more of the lowest k than its share of
-        # ceil(k / 2) + 2, so it alone is solved again for k pairs
+        # of 100 nodes each and no mirror. The square, first in node order
+        # and so solved last, holds the lowest value and more of the lowest
+        # k than its share of ceil(k / 2) + 2, so it alone is solved again
+        # for k pairs
         interior = np.zeros((15, 50), dtype=bool)
         interior[:10, :10] = True
         interior[13:, :] = True
         op = assemble(GridMask(1.0, (0.0, 0.0), (15, 50), interior))
         solved = spy_block_lowest(monkeypatch)
+        splu, factored = spla.splu, []
+
+        def spy_splu(a, **kw):
+            factored.append(a.shape[0])
+            return splu(a, **kw)
+
+        monkeypatch.setattr(spla, "splu", spy_splu)
         low = lowest_k(op, k)
         assert parity_blocks(op) == [100, 100]
         share = -(-k // 2) + 2
         assert [(m.shape[0], ask) for m, ask in solved] == [
             (100, share), (100, share), (100, k)]
-        assert solved[2][0] is solved[0][0]
+        assert solved[2][0] is solved[1][0]
+        # the second solve reuses the square's factor: one per block
+        assert factored == [100, 100]
         dense = la.eigh(op.dense(), eigvals_only=True)
-        assert la.eigh(solved[0][0].toarray(), eigvals_only=True)[0] == \
+        assert la.eigh(solved[1][0].toarray(), eigvals_only=True)[0] == \
             pytest.approx(dense[0], rel=1e-12)
         assert np.allclose(low.values, dense[:k], rtol=1e-10)
 
@@ -499,8 +520,10 @@ class TestLowestK:
                                           assemble_clamped_bilaplacian])
     def test_ties_across_characters(self, assemble):
         # on the h = 1/16 unit square the modes (i, j) and (j, i) of a double
-        # eigenvalue lie in different mirror characters when i and j differ
-        # in parity, so for some k the k-th value has a copy in another block
+        # eigenvalue make two blocks' values when i and j have the same
+        # parity (their sum and difference, even and odd under the
+        # transposition) and a value of the doubled block otherwise, so for
+        # some k the k-th value has a copy in another block or in its own
         op = assemble(rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16))
         dense = la.eigh(op.dense(), eigvals_only=True)
         for k in range(1, 31):
@@ -709,7 +732,7 @@ class TestParitySplit:
         # coupling between the parity blocks
         mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
         pencil = assemble_buckling_pencil(mask)
-        assert len(parity_blocks(pencil)) == 4
+        assert len(parity_blocks(pencil)) == 5
         bump = sp.csr_matrix(([1e-2], ([3], [3])), shape=pencil.a.matrix.shape)
         a = SymmetricOperator(pencil.a.matrix + bump * pencil.a.norm_estimate(), mask)
         b = SymmetricOperator(pencil.b.matrix + bump * pencil.b.norm_estimate(), mask)
@@ -724,8 +747,8 @@ class TestParitySplit:
                                dense_eigenvalues(target), rtol=1e-10, atol=0)
 
     def test_split_square_in_largest_block(self):
-        # the 1,521-node square splits into blocks of 400, 380, 380 and 361
-        # nodes, solved one after another: the dense arrays are a block's
+        # the 1,521-node square splits into blocks of 210, 190, 190, 171 and
+        # 380 nodes, solved one after another: the dense arrays are a block's
         op = assemble_dirichlet_laplacian(
             rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
         pencil = assemble_buckling_pencil(op.grid)
@@ -733,8 +756,113 @@ class TestParitySplit:
                               (pencil.b, dense_spectrum),
                               (pencil, generalized_spectrum)):
             big = max(parity_blocks(target))
-            assert big == 400
+            assert big == 380
             spectrum, peak = traced_peak(solve, target)
             assert peak <= 1.5 * big * big * 8
             assert np.allclose(spectrum.values, dense_eigenvalues(target),
                                rtol=1e-10, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), size=st.sampled_from([8, 9, 11, 12]),
+           fill=st.sampled_from([0.1, 0.3, 0.55]),
+           group=st.sampled_from(["square", "diagonal"]))
+    def test_square_symmetries_match_unsplit_eigh(self, seed, size, fill, group):
+        # all eight symmetries of the square, whose two-dimensional
+        # character makes a doubled block, or the transposition alone; odd
+        # and even sizes: orbits with and without nodes on the mirror lines
+        if group == "square":
+            mask = symmetric_mask(seed, size, fill)
+        else:
+            m = random_mask(seed, dims=(size, size), fill=fill).interior
+            mask = GridMask(1.0, (0.0, 0.0), (size, size), m | m.T)
+        pencil = assemble_buckling_pencil(mask)
+        for target in (pencil.a, pencil.b, pencil):
+            sizes, mults = parity_blocks(target), multiplicities(target)
+            assert sum(s * m for s, m in zip(sizes, mults)) == pencil.n_rows
+            assert (2 in mults) == (group == "square")
+            assert len(sizes) >= 2
+        k = min(6, pencil.n_rows)
+        for target, solve in ((pencil.a, dense_spectrum),
+                              (pencil.b, dense_spectrum),
+                              (pencil, generalized_spectrum),
+                              (pencil.a, lambda op: lowest_k(op, k)),
+                              (pencil.b, lambda op: lowest_k(op, k))):
+            values = solve(target).values
+            assert np.allclose(values, dense_eigenvalues(target)[:values.size],
+                               rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_unbuilt_block_has_the_doubled_spectrum(self, assemble):
+        # the (x-odd, y-even) block, formed here from the projector
+        # (I - X)(I + Y) / 4 of the two flips, is the transposition's image
+        # of the doubled (x-even, y-odd) block, which stands for both
+        op = assemble(rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 40))
+        index = op.grid.node_index()
+        x, y = np.nonzero(op.grid.interior)
+        n, mid = op.n_rows, x.min() + x.max()
+        flip_x = sp.csr_matrix((np.ones(n), (np.arange(n), index[mid - x, y])))
+        flip_y = sp.csr_matrix((np.ones(n), (np.arange(n), index[x, mid - y])))
+        eye = sp.identity(n)
+        q = la.orth(((eye - flip_x) @ (eye + flip_y)).toarray() / 4)
+        assert q.shape[1] == 380
+        unbuilt = la.eigh(q.T @ (op.matrix @ q), eigvals_only=True)
+        scale = op.norm_estimate()
+        blocks = eigensolve._blocks(op.matrix, eigensolve._parity_bases(op), scale)
+        doubled = [m for m, mult in blocks if mult == 2]
+        assert len(doubled) == 1
+        solved = la.eigh(doubled[0].toarray(), eigvals_only=True)
+        assert np.abs(unbuilt - solved).max() <= 1e-12 * scale
+
+    def test_mirrors_without_transposition_make_four_blocks(self):
+        # the diagonal bumped at the node (2, 5) and at its x and y images
+        # on the 15 x 15 lattice: both flips still hold bitwise, the
+        # transposition does not
+        mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
+        pencil = assemble_buckling_pencil(mask)
+        lo = np.nonzero(mask.interior)[0].min()
+        bumped = mask.node_index()[lo + np.array([2, 12, 2, 12]),
+                                   lo + np.array([5, 5, 9, 9])]
+        bump = sp.csr_matrix((np.full(4, 1e-2), (bumped, bumped)),
+                             shape=pencil.a.matrix.shape)
+        a = SymmetricOperator(pencil.a.matrix + bump * pencil.a.norm_estimate(), mask)
+        b = SymmetricOperator(pencil.b.matrix + bump * pencil.b.norm_estimate(), mask)
+        for target in (a, b, OperatorPencil(b, pencil.a),
+                       OperatorPencil(pencil.b, a)):
+            assert parity_blocks(target) == [64, 56, 56, 49]
+            assert multiplicities(target) == [1, 1, 1, 1]
+        for target in (a, b):
+            assert np.allclose(dense_spectrum(target).values,
+                               dense_eigenvalues(target), rtol=1e-10, atol=0)
+            assert np.allclose(lowest_k(target, 20).values,
+                               dense_eigenvalues(target)[:20], rtol=1e-10, atol=0)
+        for target in (OperatorPencil(b, pencil.a), OperatorPencil(pencil.b, a)):
+            assert np.allclose(generalized_spectrum(target).values,
+                               dense_eigenvalues(target), rtol=1e-10, atol=0)
+
+    def test_split_checked_against_the_operator(self, monkeypatch):
+        # the blocks' traces and Frobenius norms, by multiplicity, must sum
+        # to the operator's: the doubled block counted once, or the square's
+        # split applied to an operator without the transposition, raises
+        mask = rasterize(DomainSpec.rectangle(1.0, 1.0), 1 / 16)
+        pencil = assemble_buckling_pencil(mask)
+        parity_bases = eigensolve._parity_bases
+        monkeypatch.setattr(eigensolve, "_parity_bases", lambda target: [
+            (q, pieces, 1) for q, pieces, _ in parity_bases(target)])
+        for run in (lambda: dense_spectrum(pencil.a),
+                    lambda: dense_spectrum(pencil.b),
+                    lambda: generalized_spectrum(pencil),
+                    lambda: lowest_k(pencil.a, 20),
+                    lambda: lowest_k(pencil.b, 20)):
+            with pytest.raises(SolverError, match="split"):
+                run()
+        index = mask.node_index()
+        bump = sp.csr_matrix(([1e-2], ([index[2, 5]], [index[2, 5]])),
+                             shape=pencil.a.matrix.shape)
+        a = SymmetricOperator(pencil.a.matrix + bump * pencil.a.norm_estimate(), mask)
+        monkeypatch.setattr(eigensolve, "_parity_bases",
+                            lambda target: parity_bases(pencil.a))
+        for run in (lambda: dense_spectrum(a), lambda: lowest_k(a, 20),
+                    lambda: generalized_spectrum(OperatorPencil(pencil.b, a))):
+            with pytest.raises(SolverError, match="split"):
+                run()
