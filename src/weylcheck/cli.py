@@ -146,11 +146,14 @@ def cmd_count(args, out: Path) -> dict:
 def cmd_chain(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     mode, payload = _parse_lambdas(args.lambdas)
-    if mode == "auto" or args.method == "dense":
-        spectra = spectral.solve_all_problems(mask)
-    lam_grid = (spectral.eigenvalue_avoiding_grid(spectra.merged_values(), payload)
-                if mode == "auto" else np.array(payload))
-    source = spectral.MaskForms(mask) if args.method == "inertia" else spectra
+    if args.method == "inertia":
+        # K equal steps up to the grid trust limit: Weyl spacing in 2-D
+        source = spectral.MaskForms(mask)
+        auto = lambda k: np.arange(1, k + 1) * spectral.GRID_TRUST / (k * args.h**2)
+    else:
+        source = spectral.solve_all_problems(mask)
+        auto = lambda k: spectral.eigenvalue_avoiding_grid(source.merged_values(), k)
+    lam_grid = auto(payload) if mode == "auto" else np.array(payload)
     report = spectral.verify_chain(source, lam_grid)
     _write_csv(out / "chain.csv", "lambda,n_buckling,n_bilaplacian,n_dirichlet,status",
                [(float(l), int(b), int(bl), int(d),
@@ -163,11 +166,8 @@ def cmd_super(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     parts = spectral.split_separated(mask, seed=args.seed)
     if args.lam is None:
-        # only the default threshold needs the whole's spectra; it is
-        # recorded as the option, so the summary replays with --lam
-        merged = spectral.solve_all_problems(mask).merged_values()
-        grid = spectral.eigenvalue_avoiding_grid(merged, 999)
-        args.lam = float(grid[len(grid) // 2])
+        # half the grid trust limit; recorded, so the summary replays
+        args.lam = spectral.GRID_TRUST / (2 * args.h**2)
     report = spectral.superadditivity_check(
         spectral.MaskForms(mask), [spectral.MaskForms(p) for p in parts], args.lam)
     sums = {p: sum(q[p] for q in report.parts) for p in report.whole}
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lambdas", default="auto:50",
-                   help="'auto:K' for K eigenvalue-avoiding midpoints, or a comma list")
+                   help="a comma list, or 'auto:K': K thresholds chosen by --method")
     p.add_argument("--method", choices=("dense", "inertia"), default="dense")
     p.set_defaults(func=cmd_chain)
 
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lam", type=finite, default=None,
-                   help="threshold; default: median eigenvalue-avoiding midpoint")
+                   help="threshold; default: lambda h^2 = 0.125")
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.set_defaults(func=cmd_super)
 

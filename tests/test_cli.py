@@ -263,9 +263,9 @@ def test_rerun_byte_identical(square_json, tmp_path):
 
 
 def test_each_mask_solved_once(square_json, tmp_path, monkeypatch):
-    # chain counts in the one triple of dense spectra (A, B and the pencil)
-    # its thresholds came from; super solves only the whole mask, once, for
-    # its default threshold, and counts the whole and its parts by inertia
+    # chain --method dense counts in the one triple of dense spectra (A, B
+    # and the pencil) its thresholds came from; chain --method inertia and
+    # super, with or without --lam, count by inertia and solve no triple
     calls = []
     for name in ("dense_spectrum", "generalized_spectrum"):
         original = getattr(spectral, name)
@@ -285,6 +285,10 @@ def test_each_mask_solved_once(square_json, tmp_path, monkeypatch):
     assert main(["chain", "--domain", square_json, "--h", "0.1",
                  "--lambdas", "auto:5", "-o", str(tmp_path / "chain")]) == 0
     assert triples() == 1
+    assert main(["chain", "--domain", square_json, "--h", "0.1", "--method",
+                 "inertia", "--lambdas", "auto:5",
+                 "-o", str(tmp_path / "inertia")]) == 0
+    assert triples() == 0
     # seed 0 splits the mask into two parts, seed 3 leaves one part empty
     for seed, nonempty in ((0, 2), (3, 1)):
         for lam in ([], ["--lam", "300.5"]):
@@ -293,14 +297,14 @@ def test_each_mask_solved_once(square_json, tmp_path, monkeypatch):
                          "--seed", str(seed), *lam, "-o", str(out)]) == 0
             part_nodes = read_summary(out)["results"]["part_nodes"]
             assert sum(n > 0 for n in part_nodes) == nonempty
-            assert triples() == (0 if lam else 1)
+            assert triples() == 0
 
 
 def test_super_lam_not_bounded_by_dense_limit(square_json, tmp_path,
                                              monkeypatch):
-    # with --lam, super counts the whole and its parts by inertia, so a
-    # dense limit below the 81 nodes of the h = 0.1 square refuses nothing;
-    # the default threshold still needs the whole's dense spectra
+    # super counts the whole and its parts by inertia, so a dense limit
+    # below the 81 nodes of the h = 0.1 square refuses nothing; the default
+    # threshold needs no spectrum either
     args = ["super", "--domain", square_json, "--h", "0.1", "--lam", "300.5"]
     assert main([*args, "-o", str(tmp_path / "dense")]) == 0
     monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 80)
@@ -310,7 +314,35 @@ def test_super_lam_not_bounded_by_dense_limit(square_json, tmp_path,
         assert ((tmp_path / "limited" / name).read_bytes()
                 == (tmp_path / "dense" / name).read_bytes())
     assert main(["super", "--domain", square_json, "--h", "0.1",
-                 "-o", str(tmp_path / "default")]) == 3
+                 "-o", str(tmp_path / "default")]) == 0
+    assert (read_summary(tmp_path / "default")["config"]["lam"]
+            == spectral.GRID_TRUST / (2 * 0.1**2))
+
+
+def test_inertia_chain_auto_not_bounded_by_dense_limit(square_json, tmp_path,
+                                                       monkeypatch):
+    # auto:K with --method inertia takes K equal steps up to the grid trust
+    # limit, j GRID_TRUST / (K h^2): no spectrum is solved, so a dense limit
+    # below the 361 nodes of the h = 0.05 square refuses nothing
+    monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 360)
+    h, k = 0.05, 8
+    args = ["chain", "--domain", square_json, "--h", repr(h), "--method", "inertia"]
+    auto = tmp_path / "auto"
+    assert main([*args, "--lambdas", f"auto:{k}", "-o", str(auto)]) == 0
+    assert read_summary(auto)["results"]["nodes"] == 361
+    rows = [line.split(",") for line in
+            (auto / "chain.csv").read_text().splitlines()[1:]]
+    lams = [float(r[0]) for r in rows]
+    assert lams == [j * spectral.GRID_TRUST / (k * h**2) for j in range(1, k + 1)]
+    # closed-form eigenvalues of the five-point grid Laplacian
+    s = 4 / h**2 * np.sin(np.arange(1, 20) * math.pi * h / 2) ** 2
+    assert [int(r[3]) for r in rows] == [
+        int((s[:, None] + s[None, :] < lam).sum()) for lam in lams]
+    # the thresholds passed as a list count the same
+    listed = tmp_path / "listed"
+    assert main([*args, "--lambdas", ",".join(map(repr, lams)),
+                 "-o", str(listed)]) == 0
+    assert (listed / "chain.csv").read_bytes() == (auto / "chain.csv").read_bytes()
 
 
 @pytest.mark.parametrize("args", [

@@ -766,21 +766,37 @@ class TestParitySplit:
     @given(seed=st.integers(0, 10_000), size=st.sampled_from([8, 9, 11, 12]),
            fill=st.sampled_from([0.1, 0.3, 0.55]),
            group=st.sampled_from(["square", "diagonal"]))
+    # the transposed pairs (0, 3), (3, 0) and (3, 6), (6, 3): the mask
+    # cropped to its box is mirrored in x and y too; a lone node at the
+    # centre of its 1 x 1 box; the diagonal nodes (5, 5) and (6, 6), one
+    # piece for B, fixed by the transposition: B has a single block
+    @example(seed=4, size=8, fill=0.1, group="diagonal")
+    @example(seed=358, size=8, fill=0.1, group="diagonal")
+    @example(seed=2195, size=8, fill=0.1, group="diagonal")
     def test_square_symmetries_match_unsplit_eigh(self, seed, size, fill, group):
         # all eight symmetries of the square, whose two-dimensional
-        # character makes a doubled block, or the transposition alone; odd
-        # and even sizes: orbits with and without nodes on the mirror lines
+        # character makes a doubled block, or the transposition, which
+        # with either flip of the mask's box makes all eight; odd and even
+        # sizes: orbits with and without nodes on the mirror lines
         if group == "square":
             mask = symmetric_mask(seed, size, fill)
         else:
             m = random_mask(seed, dims=(size, size), fill=fill).interior
             mask = GridMask(1.0, (0.0, 0.0), (size, size), m | m.T)
+        # a node off the diagonal spans the transposition's odd character;
+        # in a box mirrored in x or y as well, one off the centre also
+        # spans the two-dimensional character of all eight symmetries
+        x, y = np.nonzero(mask.interior)
+        box = mask.interior[x.min():x.max() + 1, y.min():y.max() + 1]
+        off_diagonal = bool((x != y).any())
+        doubled = off_diagonal and (np.array_equal(box, box[::-1])
+                                    or np.array_equal(box, box[:, ::-1]))
         pencil = assemble_buckling_pencil(mask)
         for target in (pencil.a, pencil.b, pencil):
             sizes, mults = parity_blocks(target), multiplicities(target)
             assert sum(s * m for s, m in zip(sizes, mults)) == pencil.n_rows
-            assert (2 in mults) == (group == "square")
-            assert len(sizes) >= 2
+            assert (2 in mults) == doubled
+            assert len(sizes) >= 2 or not off_diagonal
         k = min(6, pencil.n_rows)
         for target, solve in ((pencil.a, dense_spectrum),
                               (pencil.b, dense_spectrum),
