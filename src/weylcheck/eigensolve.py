@@ -100,6 +100,13 @@ def _check_identities(what: str, trace_res: float, frob_res: float, n: int,
         )
 
 
+def _slab_label(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Labels that put the lattice nodes (x, y), counted from 0, in slab
+    order: the shorter side of the box [0, max] inside each slab, y on a tie."""
+    nx, ny = x.max() + 1, y.max() + 1
+    return x * ny + y if ny <= nx else y * nx + x
+
+
 def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice], int]]:
     """Orthonormal bases Q, one per block of the split by the lattice
     symmetries that the operator commutes with (for a pencil, both A and B),
@@ -131,10 +138,9 @@ def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice], int]]:
     group, so a flip that fixes every node of a one-column mask still
     cancels its odd characters; a nonzero column has entries +-1/sqrt(m)
     on its m nodes. A piece and its images share their orbits and so one
-    range, in which the orbits run in slab order of the fundamental
-    domain (the shorter axis of its box inside each slab, or the folded
-    coordinates by (max, min) in the octant), so a banded matrix stays
-    banded; with no grid, nodes run in index order."""
+    range, in which the orbits run in slab order (_slab_label) of the
+    folded coordinates, or of their (max, min) in the octant, so a banded
+    matrix stays banded; with no grid, nodes run in index order."""
     if isinstance(target, OperatorPencil):
         grid, mats = target.a.grid, [target.a.matrix, target.b.matrix]
     else:
@@ -163,8 +169,7 @@ def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice], int]]:
         flips = [p for p in (px, py) if p is not None]
         fx, fy = (c - l if p is None else np.minimum(c - l, h - c)
                   for c, l, h, p in zip(coords, lo, hi, (px, py)))
-        nx, ny = fx.max() + 1, fy.max() + 1
-        label = fx * ny + fy if ny <= nx else fy * nx + fx
+        label = _slab_label(fx, fy)
     # (generators, orbit labels, characters as signs per generator,
     # multiplicity) of each group whose orbits make the columns
     if swap is None:
@@ -172,7 +177,7 @@ def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice], int]]:
                                                         repeat=len(flips))), 1)]
     else:
         # the folds agree across the diagonal: (max, min) is the octant
-        octant = np.maximum(fx, fy) * nx + np.minimum(fx, fy)
+        octant = _slab_label(np.maximum(fx, fy), np.minimum(fx, fy))
         groups = [(flips + [swap], octant,
                    [(s,) * len(flips) + (t,) for s in ((1, -1) if flips else (1,))
                     for t in (1, -1)], 1)]
@@ -216,7 +221,10 @@ def _parity_bases(target) -> list[tuple[sp.csr_matrix, list[slice], int]]:
 def _blocks(m: sp.csr_matrix, bases, scale: float) -> list[tuple[sp.csr_matrix, int]]:
     """The diagonal blocks of m in the split _parity_bases gives, each with
     its multiplicity: Q^T M Q for each basis, made exactly symmetric from
-    its lower triangle, cut at its pieces' column ranges.
+    its lower triangle, cut at its pieces' column ranges. M commutes with
+    the basis's group, so row i of Q^T M Q is sqrt|O_i| times row rep_i of
+    M Q, rep_i the lowest node of the orbit O_i of column i: one product
+    over the representatives' rows of M, about 1/|G| of it.
 
     The split is checked against the whole of m, which stores each entry
     once: sum mult_i tr M_i = tr M and sum mult_i ||M_i||_F^2 = ||M||_F^2,
@@ -226,7 +234,10 @@ def _blocks(m: sp.csr_matrix, bases, scale: float) -> list[tuple[sp.csr_matrix, 
     wrongly raises."""
     blocks = []
     for q, pieces, mult in bases:
-        low = sp.tril(q.T @ m @ q, format="csr")
+        qt = q.T.tocsr()  # row i lists O_i in ascending order
+        mq = m[qt.indices[qt.indptr[:-1]]] @ q
+        mq.data *= np.repeat(np.sqrt(np.diff(qt.indptr)), np.diff(mq.indptr))
+        low = sp.tril(mq, format="csr")
         full = (low + sp.tril(low, -1).T).tocsr()
         blocks += [(full[p, p], mult) for p in pieces]
     # sums of squares by reduction, not numpy's BLAS dot: its threads, woken
@@ -426,7 +437,9 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float, lu=None):
     else:
         rng = np.random.default_rng(0)
         if lu is None:
-            lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            # m is exactly symmetric, so its CSR arrays are its CSC arrays
+            csc = sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
                           OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
@@ -516,16 +529,6 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
 # A slab whose elimination would add an entry above this multiple of the
 # matrix scale to the next slab is merged into it instead.
 SLAB_GROWTH = 1e2
-
-
-def _slab_order(target) -> np.ndarray | None:
-    """Node permutation that puts the shorter grid axis inside each slab:
-    ``node_index`` runs along y within each x column, so a grid taller than
-    it is wide is renumbered row by row. None keeps the given order."""
-    grid = target.a.grid if isinstance(target, OperatorPencil) else target.grid
-    if grid is None or grid.dims[1] <= grid.dims[0]:
-        return None
-    return grid.node_index().T[grid.interior.T]
 
 
 def _ldl_update(s: np.ndarray, e: np.ndarray, tol: float):
@@ -629,7 +632,8 @@ def inertia_count(target: SymmetricOperator | OperatorPencil,
     """Exact number of eigenvalues strictly below the threshold, from the
     inertia of A - theta*I (or B - theta*A for a pencil), computed by
     guarded slab elimination with a Bunch-Kaufman LDL^T per slab, in
-    O(n w^2) time for half-bandwidth w. A slab is merged into the next one
+    O(n w^2) time for half-bandwidth w, grid nodes in slab order of the
+    interior (_slab_label). A slab is merged into the next one
     instead of eliminated when its factor has a zero pivot or a pivot block
     with an eigenvalue of magnitude at most 1e-12 * scale, or when its
     update is non-finite or exceeds SLAB_GROWTH * scale.
@@ -644,7 +648,10 @@ def inertia_count(target: SymmetricOperator | OperatorPencil,
         shifted = target.matrix - threshold * sp.identity(target.n_rows,
                                                           format="csr")
         scale = target.norm_estimate() + abs(threshold)
-    order = _slab_order(target)
-    if order is not None:
-        shifted = shifted[order][:, order]
+    grid = (target.a if isinstance(target, OperatorPencil) else target).grid
+    if grid is not None:
+        x, y = np.nonzero(grid.interior)
+        order = np.argsort(_slab_label(x - x.min(), y - y.min()))
+        if (np.diff(order) < 0).any():  # else node order is slab order
+            shifted = shifted[order][:, order]
     return _slab_inertia(shifted, scale)

@@ -82,12 +82,13 @@ def bessel_j_series(order: int, x: float):
         # Decimal(0) ** 0 is an invalid operation
         term = (xh**order if order else Decimal(1)) / math.factorial(order)
         total = term
+        x2, eps = xh * xh, Decimal(10) ** (-_BESSEL_DPS + 5)
         m = 0
         while True:
             m += 1
-            term *= -(xh * xh) / (m * (m + order))
+            term *= -x2 / (m * (m + order))
             total += term
-            if abs(term) < Decimal(10) ** (-_BESSEL_DPS + 5) * (abs(total) + 1):
+            if abs(term) < eps * (abs(total) + 1):
                 break
             if m > 400:
                 raise RuntimeError("Bessel series failed to terminate")

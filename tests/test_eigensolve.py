@@ -18,7 +18,13 @@ from weylcheck.discretization import (
 )
 from weylcheck.geometry import DomainSpec, rasterize
 from weylcheck.heat import heat_trace
-from weylcheck.spectral import MaskForms, counting, robust_count, verify_chain
+from weylcheck.spectral import (
+    MaskForms,
+    counting,
+    robust_count,
+    split_separated,
+    verify_chain,
+)
 from weylcheck import eigensolve
 from weylcheck.eigensolve import (
     ShiftOnEigenvalueError,
@@ -43,6 +49,16 @@ def dense_eigenvalues(target):
     if hasattr(target, "b"):
         return la.eigh(target.b.dense(), target.a.dense(), eigvals_only=True)
     return la.eigh(target.dense(), eigvals_only=True)
+
+
+def gap_midpoints(w, count):
+    """Midpoints of the widest gap in each of count equal index ranges of
+    the ascending spectrum w, so no threshold lies near an eigenvalue."""
+    gaps = np.diff(w)
+    edges = np.linspace(0, gaps.size, count + 1).astype(int)
+    picks = [lo + int(np.argmax(gaps[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])
+             if hi > lo]
+    return [0.5 * (w[k] + w[k + 1]) for k in picks]
 
 
 def symmetric_mask(seed, size, fill):
@@ -653,6 +669,45 @@ class TestInertiaCount:
     def test_ldl_update_refuses_near_singular(self, s):
         e = np.asfortranarray(np.ones((3, 2)))
         assert eigensolve._ldl_update(np.array(s), e, 1e-12) is None
+
+    def test_slab_order_follows_the_interior_not_its_box(self, monkeypatch):
+        # the part of the disk left of an x split keeps the disk's 41 x 41
+        # lattice box, but its interior is 19 x 39 nodes, so one lattice
+        # line along x, not along y, bounds the half-bandwidth
+        part = split_separated(rasterize(DomainSpec.disk(1.0), 0.05), seed=1)[0]
+        x, y = np.nonzero(part.interior)
+        assert part.n_nodes == 603 and part.dims == (41, 41)
+        assert (np.ptp(x) + 1, np.ptp(y) + 1) == (19, 39)
+        widths = []
+        slab_inertia = eigensolve._slab_inertia
+
+        def spy(m, scale):
+            rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+            widths.append(int(np.abs(rows - m.indices).max()))
+            return slab_inertia(m, scale)
+
+        monkeypatch.setattr(eigensolve, "_slab_inertia", spy)
+        pencil = assemble_buckling_pencil(part)
+        for target, width in ((pencil.a, 19), (pencil.b, 38), (pencil, 38)):
+            w = dense_eigenvalues(target)
+            for theta in gap_midpoints(w, 4):
+                assert inertia_count(target, theta) == int((w < theta).sum())
+            assert 0 < max(widths) <= width
+            widths.clear()
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_split_parts_match_dense_oracle(self, h):
+        # parts split along x and along y, each ordered by its own extent
+        mask = rasterize(DomainSpec.disk(1.0), h)
+        for seed in range(10):
+            for part in split_separated(mask, seed):
+                if not part.n_nodes:
+                    continue
+                pencil = assemble_buckling_pencil(part)
+                for target in (pencil.a, pencil.b, pencil):
+                    w = dense_eigenvalues(target)
+                    for theta in gap_midpoints(w, 3):
+                        assert inertia_count(target, theta) == int((w < theta).sum())
 
     def test_isolated_node_at_its_eigenvalue(self):
         # node 0 of the first slab is isolated, so A - theta I at
