@@ -405,7 +405,7 @@ def _residual_bound(w, tol: float, scale: float) -> np.ndarray:
     return np.minimum(tol * scale, tol * np.abs(w) + np.finfo(float).eps * scale)
 
 
-def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float, lu=None):
+def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndarray:
     """Lowest k eigenvalues of one block of the split, each pair checked:
     ||M v - w v|| <= min(tol * |A|, tol * |w| + eps * |A|) for the operator
     scale |A|, and the lowest value positive, or SolverError is raised. The
@@ -416,9 +416,8 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float, lu=None):
     ARPACK's shift-invert Lanczos at zero from a fixed-seed random vector,
     completed by _complete_multiplicities; dense for k = n, which ARPACK
     cannot do, and refused like every dense solve above DENSE_LIMIT. The
-    block's SuperLU factor (None from the dense branch) is returned with
-    the values; passed back, it solves the block again without a second
-    factorization. When a Lanczos pair misses the bound, the block's pairs
+    block is factored once per call, and the factor is dropped when the
+    call returns. When a Lanczos pair misses the bound, the block's pairs
     take one step of inverse iteration with the block's factor and a
     Rayleigh-Ritz step on the span, and are checked again: ARPACK leaves a
     probe's residual along the next Lanczos vector, and the inverse damps
@@ -436,11 +435,10 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float, lu=None):
         resid = _residuals(m, w, v)
     else:
         rng = np.random.default_rng(0)
-        if lu is None:
-            # m is exactly symmetric, so its CSR arrays are its CSC arrays
-            csc = sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        # m is exactly symmetric, so its CSR arrays are its CSC arrays
+        csc = sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         w, v = spla.eigsh(m, k=k, sigma=0, which="LM", v0=rng.standard_normal(n),
                           OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
                           tol=tol / 10)
@@ -460,7 +458,7 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float, lu=None):
     if w.min() <= 0:
         raise SolverError(f"operator is not positive definite: eigenvalue "
                           f"{w.min():.3e}")
-    return w, lu
+    return w
 
 
 def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
@@ -480,16 +478,18 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
     is the same. Let w_k be the k-th smallest value of the merge. A block
     is complete when it was asked for cap_i pairs or when its largest value
     lies above w_k (1 + 10 tol), the tie tolerance of
-    _complete_multiplicities: its missing values lie above that too. Every
-    other block is solved again for cap_i pairs, which only lowers w_k, so
-    the lowest k of the new merge are the lowest k of A.
+    _complete_multiplicities: its missing values lie above that too. A
+    block short of that is asked again for min(cap_i, 2 p) pairs, p the
+    pairs it holds, until it is complete, with w_k taken again from the
+    merge after each solve. A solve for more pairs only adds values, so
+    w_k only falls and a block found complete stays complete: the lowest k
+    of the final merge are the lowest k of A.
 
-    The block that falls short is, in practice, the first: the trivial
-    character's, whose quotient has Neumann conditions on the mirror lines
-    and so more low values than its share. It is solved last and keeps its
-    SuperLU factor for its second solve; every other block's factor is
-    dropped as soon as its first solve returns, so one factor is held at a
-    time, and such a block is factored again if it falls short.
+    The blocks are solved in split order, each factored afresh by
+    _block_lowest, so one factor is held at a time. The block that falls
+    short is, in practice, the first: the trivial character's, whose
+    quotient has Neumann conditions on the mirror lines and so more low
+    values than its share.
 
     Start vectors are fixed-seed random, so reruns are bit-identical. A
     truncated spectrum is cut off at its largest value, below which every
@@ -503,20 +503,18 @@ def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
         caps = [min(-(-k // mult), m.shape[0]) for m, mult in blocks]
         asks = [min(cap, -(-k * m.shape[0] // n) + 2)
                 for (m, _), cap in zip(blocks, caps)]
-        # the first block last, so that its factor is the one kept
-        solved = [None] + [_block_lowest(m, ask, tol, scale)[0]
-                           for (m, _), ask in zip(blocks[1:], asks[1:])]
-        solved[0], lu = _block_lowest(blocks[0][0], asks[0], tol, scale)
+        solved = [_block_lowest(m, ask, tol, scale)
+                  for (m, _), ask in zip(blocks, asks)]
 
         def merged():
             return np.concatenate([np.repeat(w, mult)
                                    for w, (_, mult) in zip(solved, blocks)])
 
-        w_k = np.partition(merged(), k - 1)[k - 1]
         for i, ((m, _), cap) in enumerate(zip(blocks, caps)):
-            if solved[i].size < cap and solved[i].max() <= w_k * (1 + 10 * tol):
-                solved[i] = _block_lowest(m, cap, tol, scale, lu)[0]
-            lu = None  # only the first block's factor is kept
+            while (solved[i].size < cap and solved[i].max()
+                   <= np.partition(merged(), k - 1)[k - 1] * (1 + 10 * tol)):
+                solved[i] = _block_lowest(m, min(cap, 2 * solved[i].size),
+                                          tol, scale)
     except SolverError:
         raise
     except (RuntimeError, la.LinAlgError) as exc:

@@ -159,6 +159,18 @@ def spy_block_lowest(monkeypatch):
     return solved
 
 
+def spy_splu(monkeypatch):
+    """List that records the size of every matrix that splu factors."""
+    splu, factored = spla.splu, []
+
+    def spy(a, **kw):
+        factored.append(a.shape[0])
+        return splu(a, **kw)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return factored
+
+
 def moved_eigh(call, where, delta):
     """la.eigh that moves value round(where * (n - 1)) of the block solved
     on the given call by delta, and passes every other call through."""
@@ -484,8 +496,8 @@ class TestLowestK:
         # the h = 1/24 disk has all eight symmetries of the square: each of
         # its five blocks is asked for its share of k plus two,
         # min(cap, ceil(20 n_i / n) + 2) with cap = min(ceil(20 / m_i), n_i)
-        # for multiplicity m_i, the first block last; the shares are
-        # complete, so no block is solved again
+        # for multiplicity m_i, in split order; the shares are complete, so
+        # no block is solved again
         op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
         solved = spy_block_lowest(monkeypatch)
         low = lowest_k(op, 20)
@@ -493,7 +505,7 @@ class TestLowestK:
         assert sizes == [244, 227, 220, 204, 447]
         assert multiplicities(op) == [1, 1, 1, 1, 2]
         assert [(m.shape[0], k) for m, k in solved] == [
-            (227, 5), (220, 5), (204, 5), (447, 7), (244, 5)]
+            (244, 5), (227, 5), (220, 5), (204, 5), (447, 7)]
         dense = la.eigh(op.dense(), eigvals_only=True)[:20]
         assert np.allclose(low.values, dense, rtol=1e-9)
 
@@ -504,33 +516,49 @@ class TestLowestK:
                                                    monkeypatch):
         # a 10 x 10 square and a 2 x 50 strip, three nodes apart: two pieces
         # of 100 nodes each and no mirror. The square, first in node order
-        # and so solved last, holds the lowest value and more of the lowest
-        # k than its share of ceil(k / 2) + 2, so it alone is solved again
-        # for k pairs
+        # and so solved first, holds the lowest value and more of the lowest
+        # k than its share of ceil(k / 2) + 2, so it alone is asked again,
+        # for min(k, 2 share) = k pairs
         interior = np.zeros((15, 50), dtype=bool)
         interior[:10, :10] = True
         interior[13:, :] = True
         op = assemble(GridMask(1.0, (0.0, 0.0), (15, 50), interior))
         solved = spy_block_lowest(monkeypatch)
-        splu, factored = spla.splu, []
-
-        def spy_splu(a, **kw):
-            factored.append(a.shape[0])
-            return splu(a, **kw)
-
-        monkeypatch.setattr(spla, "splu", spy_splu)
+        factored = spy_splu(monkeypatch)
         low = lowest_k(op, k)
         assert parity_blocks(op) == [100, 100]
         share = -(-k // 2) + 2
         assert [(m.shape[0], ask) for m, ask in solved] == [
             (100, share), (100, share), (100, k)]
-        assert solved[2][0] is solved[1][0]
-        # the second solve reuses the square's factor: one per block
-        assert factored == [100, 100]
+        assert solved[2][0] is solved[0][0]
+        # each solve factors its block afresh
+        assert factored == [100, 100, 100]
         dense = la.eigh(op.dense(), eigvals_only=True)
-        assert la.eigh(solved[1][0].toarray(), eigvals_only=True)[0] == \
+        assert la.eigh(solved[0][0].toarray(), eigvals_only=True)[0] == \
             pytest.approx(dense[0], rel=1e-12)
         assert np.allclose(low.values, dense[:k], rtol=1e-10)
+
+    @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
+                                          assemble_clamped_bilaplacian])
+    def test_short_block_asked_again_for_twice_its_pairs(self, assemble,
+                                                         monkeypatch):
+        # on the h = 1/24 disk the trivial character's block of 244 nodes
+        # holds more low values than its share ceil(k * 244 / 1789) + 2 and
+        # is asked again for twice the pairs it holds, not for its whole
+        # cap of k; every solve factors its block once
+        op = assemble(rasterize(DomainSpec.disk(1.0), 1 / 24))
+        assert parity_blocks(op) == [244, 227, 220, 204, 447]
+        dense = la.eigh(op.dense(), eigvals_only=True)
+        solved = spy_block_lowest(monkeypatch)
+        factored = spy_splu(monkeypatch)
+        for k, asks in [(32, [7, 14]), (51, [9, 18]), (57, [10, 20]),
+                        (63, [11, 22]), (69, [12, 24])]:
+            solved.clear()
+            factored.clear()
+            low = lowest_k(op, k)
+            assert [ask for m, ask in solved if m.shape[0] == 244] == asks, k
+            assert factored == [m.shape[0] for m, _ in solved], k
+            assert np.allclose(low.values, dense[:k], rtol=1e-9), k
 
     @pytest.mark.parametrize("assemble", [assemble_dirichlet_laplacian,
                                           assemble_clamped_bilaplacian])
