@@ -23,6 +23,10 @@ EXIT_INVARIANT = 4
 
 SOLVE_TOL = 1e-8  # default residual tolerance of the sparse solves
 
+# --problem -> the problem it names: the bilaplacian's values are the roots
+PROBLEM_OPTIONS = {"dirichlet": "dirichlet", "buckling": "buckling",
+                   "bilaplacian": "bilaplacian_root"}
+
 
 class ConfigError(ValueError):
     pass
@@ -120,27 +124,16 @@ def cmd_solve(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
     if args.k > mask.n_nodes:
         raise ConfigError(f"--k {args.k} exceeds the {mask.n_nodes} grid nodes")
-    forms = spectral.MaskForms(mask)
-    if args.problem == "dirichlet":
-        result = eigensolve.lowest_k(forms.a, args.k, tol=args.tol)
-    elif args.problem == "bilaplacian":
-        omega_sq = eigensolve.lowest_k(forms.b, args.k, tol=args.tol)
-        result = eigensolve.Spectrum(
-            "bilaplacian_root", np.sqrt(omega_sq.values),
-            cutoff=math.sqrt(omega_sq.cutoff), source="grid"
-        )
-    else:
-        result = eigensolve.generalized_spectrum(
-            discretization.OperatorPencil(forms.b, forms.a), args.k)
+    result = spectral.MaskForms(mask).spectrum(
+        PROBLEM_OPTIONS[args.problem], args.k, tol=args.tol)
     result.dump(out / "spectrum.csv", h=args.h)
     return {"nodes": mask.n_nodes, "values": [float(v) for v in result.values]}
 
 
 def cmd_count(args, out: Path) -> dict:
     mask = geometry.rasterize(_load_domain(args.domain), args.h)
-    problem = "bilaplacian_root" if args.problem == "bilaplacian" else args.problem
-    return {"nodes": mask.n_nodes,
-            "count": spectral.MaskForms(mask).count(problem, args.lam)}
+    return {"nodes": mask.n_nodes, "count": spectral.MaskForms(mask).count(
+        PROBLEM_OPTIONS[args.problem], args.lam)}
 
 
 def cmd_chain(args, out: Path) -> dict:
@@ -270,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--k", type=positive_int, default=10)
-    p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
-                   default="dirichlet")
+    p.add_argument("--problem", choices=PROBLEM_OPTIONS, default="dirichlet")
     p.add_argument("--tol", type=positive, default=SOLVE_TOL)
     p.set_defaults(func=cmd_solve)
 
@@ -280,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--h", type=finite, required=True)
     p.add_argument("--lam", type=finite, required=True)
-    p.add_argument("--problem", choices=("dirichlet", "buckling", "bilaplacian"),
-                   default="dirichlet")
+    p.add_argument("--problem", choices=PROBLEM_OPTIONS, default="dirichlet")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("chain", help="verify N_b <= N_bl <= N_D")

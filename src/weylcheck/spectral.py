@@ -6,7 +6,7 @@ and the cube-cover lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -16,13 +16,13 @@ from .discretization import (
     assemble_dirichlet_laplacian,
 )
 from .eigensolve import (
-    PROBLEMS,
     OperatorPencil,
     ShiftOnEigenvalueError,
     Spectrum,
     dense_spectrum,
     generalized_spectrum,
     inertia_count,
+    lowest_k,
 )
 from .geometry import CubeCover, GeometryError, GridMask
 from .oracles import rectangle_count
@@ -67,37 +67,35 @@ def robust_count(target, lam: float) -> int:
 
 # -- counting sources: the three problems on one mask ---------------------
 
+# problem -> (its form on a MaskForms, whether the form's eigenvalues are the
+# squares of the problem's values), in the chain's order N_D, N_bl, N_b
+FORMS = {"dirichlet": (lambda f: f.a, False),
+         "bilaplacian_root": (lambda f: f.b, True),
+         "buckling": (lambda f: OperatorPencil(f.b, f.a), False)}
+
 
 @dataclass(frozen=True)
 class MaskSpectra:
     """Dense spectra of the three problems on one mask; counts in them."""
 
     mask: GridMask
-    dirichlet: Spectrum
-    buckling: Spectrum
-    bilaplacian_root: Spectrum
+    spectra: dict[str, Spectrum]
 
     def count(self, problem: str, lam: float) -> int:
-        return counting(getattr(self, problem), lam)
+        return counting(self.spectra[problem], lam)
 
     def merged_values(self) -> np.ndarray:
-        return np.sort(np.concatenate([getattr(self, p).values for p in PROBLEMS]))
+        return np.sort(np.concatenate([s.values for s in self.spectra.values()]))
 
 
 def solve_all_problems(mask: GridMask) -> MaskSpectra:
-    a = assemble_dirichlet_laplacian(mask)
-    b = assemble_clamped_bilaplacian(mask)
-    lam = dense_spectrum(a)
-    omega = Spectrum("bilaplacian_root", np.sqrt(dense_spectrum(b).values),
-                     source="grid")
-    mu = generalized_spectrum(OperatorPencil(b, a))
-    return MaskSpectra(mask, lam, mu, omega)
+    forms = MaskForms(mask)
+    return MaskSpectra(mask, {p: forms.spectrum(p) for p in FORMS})
 
 
 class MaskForms:
-    """Exact inertia counts of the three problems on one mask, at any size:
-    A at lambda, B at lambda^2 for lambda > 0 (the bilaplacian roots) and the
-    pencil (B, A) at lambda. Each form is assembled the first time a count needs it."""
+    """The forms of the three problems on one mask, at any size: A, B and
+    the pencil (B, A), each assembled the first time it is needed."""
 
     def __init__(self, mask: GridMask):
         self.mask = mask
@@ -111,15 +109,32 @@ class MaskForms:
         return assemble_clamped_bilaplacian(self.mask)
 
     def count(self, problem: str, lam: float) -> int:
-        if problem == "dirichlet":
-            return robust_count(self.a, lam)
-        if problem == "bilaplacian_root":
-            # the roots are positive (B is positive definite): lam^2 would
-            # lose the sign of lam
-            return robust_count(self.b, lam * lam) if lam > 0 else 0
-        if problem == "buckling":
-            return robust_count(OperatorPencil(self.b, self.a), lam)
-        raise ValueError(f"unknown problem {problem!r}")
+        form, squared = FORMS[problem]
+        if squared:
+            # the roots are positive: lam^2 would lose the sign of lam. Each
+            # root^2 <= |B| < inf, so all lie below a lam whose square
+            # overflows (to inf, and without a warning in Python floats)
+            if lam <= 0:
+                return 0
+            lam = float(lam) * float(lam)
+            if math.isinf(lam):
+                return self.mask.n_nodes
+        return robust_count(form(self), lam)
+
+    def spectrum(self, problem: str, k: int | None = None,
+                 tol: float = 1e-8) -> Spectrum:
+        """All values of the problem (dense), or its lowest k: ``lowest_k``
+        for A and B, ``generalized_spectrum`` for the pencil."""
+        form, squared = FORMS[problem]
+        target = form(self)
+        if isinstance(target, OperatorPencil):
+            s = generalized_spectrum(target, k)
+        else:
+            s = dense_spectrum(target) if k is None else lowest_k(target, k, tol=tol)
+        if squared:
+            return replace(s, problem=problem, values=np.sqrt(s.values),
+                           cutoff=math.sqrt(s.cutoff))
+        return replace(s, problem=problem)
 
 
 def eigenvalue_avoiding_grid(values: np.ndarray, count: int) -> np.ndarray:
@@ -220,8 +235,8 @@ def superadditivity_check(whole, parts: list, lam: float) -> SuperadditivityRepo
     check_separated(masks)  # overlapping parts fail it too
     report = SuperadditivityReport(
         lam,
-        {p: whole.count(p, lam) for p in PROBLEMS},
-        [{p: part.count(p, lam) for p in PROBLEMS}
+        {p: whole.count(p, lam) for p in FORMS},
+        [{p: part.count(p, lam) for p in FORMS}
          for part in parts if part.mask.n_nodes],
     )
     if not report.ok:

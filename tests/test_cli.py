@@ -79,10 +79,31 @@ def test_solve_buckling_takes_only_the_default_tol(square_json, tmp_path):
 
 
 def test_count_matches_solve(square_json, tmp_path):
-    out = tmp_path / "out"
-    assert main(["count", "--domain", square_json, "--h", "0.1",
-                 "--lam", "60.0", "-o", str(out)]) == 0
-    assert read_summary(out)["results"]["count"] == 3  # 2,5,5 times pi^2
+    # a threshold between the 3rd and 4th values solved has 3 values below
+    # it: count and solve take the same form, squared or not
+    for problem in ("dirichlet", "buckling", "bilaplacian"):
+        base = ["--domain", square_json, "--h", "0.1", "--problem", problem]
+        solved, counted = tmp_path / f"solve_{problem}", tmp_path / problem
+        assert main(["solve", *base, "--k", "4", "-o", str(solved)]) == 0
+        values = read_summary(solved)["results"]["values"]
+        assert values[2] < values[3], problem
+        assert main(["count", *base, f"--lam={(values[2] + values[3]) / 2!r}",
+                     "-o", str(counted)]) == 0
+        assert read_summary(counted)["results"]["count"] == 3, problem
+
+
+def test_bilaplacian_count_where_lambda_squared_overflows(square_json, tmp_path):
+    # every root^2 is at most |B| < inf, so all 81 roots lie below a
+    # threshold whose square overflows, as in the dense spectrum
+    base = ["--domain", square_json, "--h", "0.1"]
+    assert main(["count", *base, "--lam", "1e200", "--problem", "bilaplacian",
+                 "-o", str(tmp_path / "count")]) == 0
+    assert read_summary(tmp_path / "count")["results"]["count"] == 81
+    for method in ("dense", "inertia"):
+        assert main(["chain", *base, "--lambdas", "1e200", "--method", method,
+                     "-o", str(tmp_path / method)]) == 0
+    assert ((tmp_path / "inertia" / "chain.csv").read_bytes()
+            == (tmp_path / "dense" / "chain.csv").read_bytes())
 
 
 def test_bilaplacian_count_below_zero(square_json, tmp_path):
