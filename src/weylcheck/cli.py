@@ -79,16 +79,6 @@ def _parse_tgrid(text: str) -> np.ndarray:
         raise ConfigError(f"bad --t-grid value {text!r}") from exc
 
 
-def _load_domain(path: str) -> geometry.DomainSpec:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"domain file not found: {p}")
-    try:
-        return geometry.load_domain(p)
-    except geometry.GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _analytic_spectrum(spec: geometry.DomainSpec, lam_max: float):
     if spec.kind == "rectangle":
         return oracles.rectangle_spectrum(spec.a, spec.b, lam_max)
@@ -121,7 +111,7 @@ def cmd_solve(args, out: Path) -> dict:
     if args.problem == "buckling" and args.tol != SOLVE_TOL:
         raise ConfigError("--tol does not apply to --problem buckling: the "
                           "pencil is solved densely and has no tolerance")
-    mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    mask = geometry.rasterize(geometry.load_domain(args.domain), args.h)
     if args.k > mask.n_nodes:
         raise ConfigError(f"--k {args.k} exceeds the {mask.n_nodes} grid nodes")
     result = spectral.MaskForms(mask).spectrum(
@@ -131,13 +121,13 @@ def cmd_solve(args, out: Path) -> dict:
 
 
 def cmd_count(args, out: Path) -> dict:
-    mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    mask = geometry.rasterize(geometry.load_domain(args.domain), args.h)
     return {"nodes": mask.n_nodes, "count": spectral.MaskForms(mask).count(
         PROBLEM_OPTIONS[args.problem], args.lam)}
 
 
 def cmd_chain(args, out: Path) -> dict:
-    mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    mask = geometry.rasterize(geometry.load_domain(args.domain), args.h)
     mode, payload = _parse_lambdas(args.lambdas)
     if args.method == "inertia":
         # K equal steps up to the grid trust limit: Weyl spacing in 2-D
@@ -156,7 +146,7 @@ def cmd_chain(args, out: Path) -> dict:
 
 
 def cmd_super(args, out: Path) -> dict:
-    mask = geometry.rasterize(_load_domain(args.domain), args.h)
+    mask = geometry.rasterize(geometry.load_domain(args.domain), args.h)
     parts = spectral.split_separated(mask, seed=args.seed)
     if args.lam is None:
         # half the grid trust limit; recorded, so the summary replays
@@ -172,7 +162,7 @@ def cmd_super(args, out: Path) -> dict:
 
 
 def cmd_cover(args, out: Path) -> dict:
-    spec = _load_domain(args.domain)
+    spec = geometry.load_domain(args.domain)
     cover = geometry.cube_cover(spec, args.eta)
     results = {
         "cubes": int(len(cover.corners)),
@@ -196,7 +186,7 @@ def cmd_cover(args, out: Path) -> dict:
 def _heat_samples(args):
     """The domain, its analytic spectrum below --lam-max and its heat trace
     on --t-grid."""
-    spec = _load_domain(args.domain)
+    spec = geometry.load_domain(args.domain)
     spectrum = _analytic_spectrum(spec, args.lam_max)
     times = _parse_tgrid(args.t_grid)
     return spec, spectrum, heat.heat_trace(spectrum, times, spec.dimension,

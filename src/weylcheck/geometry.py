@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -36,8 +37,8 @@ class GridMask:
     interior: np.ndarray
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise GeometryError("grid spacing must be positive")
+        if not 0 < self.h < math.inf:
+            raise GeometryError("grid spacing must be positive and finite")
         interior = np.asarray(self.interior, dtype=bool)
         if interior.shape != tuple(self.dims):
             raise GeometryError("interior array shape does not match dims")
@@ -127,8 +128,8 @@ class Interval(DomainSpec):
     dimension = 1
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise GeometryError("interval length must be positive")
+        if not 0 < self.a < math.inf:
+            raise GeometryError("interval length must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -150,8 +151,8 @@ class Rectangle(DomainSpec):
     kind = "rectangle"
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise GeometryError("rectangle sides must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise GeometryError("rectangle sides must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -175,8 +176,8 @@ class Disk(DomainSpec):
     kind = "disk"
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise GeometryError("disk radius must be positive")
+        if not 0 < self.r < math.inf:
+            raise GeometryError("disk radius must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -219,10 +220,9 @@ class Cusp(DomainSpec):
     kind = "cusp"
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise GeometryError("cusp exponent must exceed 1 for finite area")
-        if self.x_max <= 1:
-            raise GeometryError("cusp truncation must exceed 1")
+        if not (1 < self.p < math.inf and 1 < self.x_max < math.inf):
+            raise GeometryError("cusp exponent and truncation must be finite "
+                                "and exceed 1")
 
     @property
     def volume(self) -> float:
@@ -259,6 +259,9 @@ class Union(DomainSpec):
             raise GeometryError("union needs at least one part")
         if len(self.parts) != len(self.offsets):
             raise GeometryError("union needs one offset per part")
+        if any(len(off) != 2 or not all(map(math.isfinite, off))
+               for off in self.offsets):
+            raise GeometryError("each union offset must be a finite pair")
         if any(part.dimension != self.dimension for part in self.parts):
             raise GeometryError("union parts must share dimension")
         for (i, (lo1, hi1)), (j, (lo2, hi2)) in combinations(
@@ -482,28 +485,33 @@ _LOADERS = {
 
 
 def load_domain(path) -> DomainSpec:
-    """Read a domain description from a JSON file.
-
-    Raster masks reference a PGM (P5) or ASCII-art file next to the JSON.
-    """
+    """Read a domain description from a JSON file; a raster names a PGM (P5)
+    or ASCII-art file next to it. Any malformed input raises GeometryError."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise GeometryError(f"{path}: malformed JSON: {exc}") from exc
+    except (OSError, RecursionError, ValueError) as exc:  # bad JSON or UTF-8
+        raise GeometryError(f"cannot read domain file {path}: {exc}") from exc
     return _domain_from_dict(data, path.parent)
 
 
 def _domain_from_dict(data, base: Path) -> DomainSpec:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise GeometryError("domain entry must be an object with a 'kind' field")
-    kind = data["kind"]
+    kind = data.get("kind") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in _LOADERS:
-        raise GeometryError(f"unknown domain kind {kind!r}")
+        raise GeometryError(f"domain entry needs a 'kind' in {sorted(_LOADERS)}")
     try:
         return _LOADERS[kind](data, base)
+    except GeometryError:
+        raise
     except KeyError as exc:
         raise GeometryError(f"domain kind {kind!r}: missing field {exc}") from exc
+    except (OSError, RecursionError, TypeError, ValueError) as exc:
+        raise GeometryError(f"domain kind {kind!r}: {exc}") from exc
+
+
+# "P5", width, height and maxval, each token after whitespace or '#' comments
+# that run to the end of a line; one whitespace byte ends the header
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def load_mask(path, h: float) -> GridMask:
@@ -511,40 +519,23 @@ def load_mask(path, h: float) -> GridMask:
     path = Path(path)
     raw = path.read_bytes()
     if raw.startswith(b"P5"):
-        interior = _parse_pgm(raw, path)
+        header = _PGM_HEADER.match(raw)
+        if header is None:
+            raise GeometryError(f"{path}: malformed PGM header")
+        width, height, maxval = map(int, header.groups())
+        if maxval > 255:
+            raise GeometryError(f"{path}: 16-bit PGM not supported")
+        if len(raw) - header.end() < width * height:
+            raise GeometryError(f"{path}: fewer than {width}x{height} pixel bytes")
+        pixels = np.frombuffer(raw, np.uint8, width * height, header.end())
+        rows = pixels.reshape(height, width) > 0  # nonzero = interior
     else:
         lines = [ln for ln in raw.decode().splitlines() if ln.strip()]
-        rows = []
-        for ln in lines:
-            if set(ln) - {"#", "."}:
-                raise GeometryError(f"{path}: ASCII mask may contain only '#' and '.'")
-            rows.append([c == "#" for c in ln])
-        if len({len(r) for r in rows}) != 1:
+        if any(set(ln) - {"#", "."} for ln in lines):
+            raise GeometryError(f"{path}: ASCII mask may contain only '#' and '.'")
+        if len(set(map(len, lines))) != 1:
             raise GeometryError(f"{path}: ragged ASCII mask")
-        # text rows run top-down; grid j runs bottom-up
-        interior = np.array(rows[::-1], dtype=bool).T
+        rows = np.array([[c == "#" for c in ln] for ln in lines], dtype=bool)
+    # image and text rows run top-down; grid j runs bottom-up
+    interior = rows[::-1].T
     return GridMask(h, (0.0, 0.0), interior.shape, interior)
-
-
-def _parse_pgm(raw: bytes, path) -> np.ndarray:
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(raw[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
-    if maxval > 255:
-        raise GeometryError(f"{path}: 16-bit PGM not supported")
-    data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    img = data.reshape(height, width)
-    # image rows run top-down; nonzero = interior
-    return (img[::-1, :] > 0).T.copy()

@@ -80,7 +80,8 @@ def heat_trace(spectrum: Spectrum, times, n: int, volume: float) -> HeatTraceSam
     t = np.asarray(times, dtype=float)
     if np.any(t <= 0):
         raise ValueError("times must be positive")
-    values = np.exp(-np.outer(t, spectrum.values)).sum(axis=1)
+    # one time at a time: no len(t) x len(spectrum) transient
+    values = np.array([np.exp(-ti * spectrum.values).sum() for ti in t])
     tails = np.array(
         [weyl_tail_bound(ti, spectrum.cutoff, n, volume) for ti in t]
     )

@@ -249,11 +249,58 @@ def test_count_not_bounded_by_dense_limit(square_json, tmp_path):
     assert exc.value.code == 2
 
 
-def test_malformed_domain_is_config_error(tmp_path):
+def _raster(mask_bytes, h="0.1", name="mask.pgm"):
+    return (f'{{"kind": "raster", "path": "{name}", "h": {h}}}', mask_bytes)
+
+
+COUNT = ["count", "--h", "0.1", "--lam", "10"]
+
+
+@pytest.mark.parametrize("domain, mask_bytes, args", [
+    pytest.param('{"kind": "rectangle", "a": 1.0', None,
+                 ["chain", "--h", "0.2"], id="truncated-json"),
+    *(pytest.param(f'{{"kind": "disk", "r": {r}}}', None, COUNT,
+                   id="disk-r-" + r.strip('"'))
+      for r in ('"abc"', "null", "NaN", "Infinity")),
+    pytest.param('{"kind": "rectangle", "a": 1.0, "b": [2]}', None, COUNT,
+                 id="rectangle-b-list"),
+    pytest.param('{"kind": "cusp", "p": 2.0, "x_max": "x"}', None, COUNT,
+                 id="cusp-x_max-string"),
+    pytest.param('{"kind": "union", "parts": 5}', None, COUNT,
+                 id="union-parts-number"),
+    pytest.param('{"kind": "union", "parts": [{"kind": "disk", "r": 0.5, '
+                 '"offset": [0]}]}', None, COUNT, id="union-offset-single"),
+    pytest.param(*_raster(None, name="nope.txt"), COUNT, id="raster-missing"),
+    pytest.param(*_raster(b"###\n###\n", h='"x"', name="mask.txt"), COUNT,
+                 id="raster-h-string"),
+    pytest.param(*_raster(b"P5 3 x 255\n" + bytes(6)), COUNT,
+                 id="pgm-bad-header"),
+    pytest.param(*_raster(b"P5 3 2 255\n" + bytes([255] * 5)), COUNT,
+                 id="pgm-truncated"),
+    pytest.param(*_raster(b"#\xff#\n###\n", name="mask.txt"), COUNT,
+                 id="ascii-not-utf8"),
+    pytest.param('{"kind": "interval", "a": NaN}', None,
+                 ["heat", "--lam-max", "100"], id="interval-a-nan"),
+    # nested past the recursion limit of the JSON decoder or of the loader
+    pytest.param("[" * 100_000, None, COUNT, id="json-too-deep"),
+    pytest.param('{"kind": "union", "parts": [' * 1000 + '{"kind": "disk", "r": 1}'
+                 + "]}" * 1000, None, COUNT, id="union-too-deep"),
+])
+def test_malformed_domain_is_config_error(tmp_path, capsys, domain,
+                                          mask_bytes, args):
+    # one boundary checks domain input: each malformed file is a
+    # configuration error with one message, never a traceback or exit 3
     bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "rectangle", "a": 1.0')
-    assert main(["chain", "--domain", str(bad), "--h", "0.2",
-                 "-o", str(tmp_path / "o")]) == 2
+    bad.write_text(domain)
+    if mask_bytes is not None:
+        (tmp_path / json.loads(domain)["path"]).write_bytes(mask_bytes)
+    out = tmp_path / "o"
+    command, *rest = args
+    assert exit_code([command, "--domain", str(bad), *rest,
+                      "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
 
 
 def test_missing_domain_is_config_error(tmp_path):

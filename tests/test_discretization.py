@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,17 @@ def test_exact_symmetry():
                assemble_clamped_bilaplacian(mask)):
         diff = op.matrix - op.matrix.T
         assert diff.nnz == 0 or abs(diff).max() == 0.0
+
+
+@pytest.mark.parametrize("i, j, value", [
+    (0, 1, np.nextafter(-1.0, 0.0)),  # one ulp off its mirror entry
+    (1, 1, np.nan),  # NaN equals no entry, not even itself
+], ids=["one-ulp", "nan"])
+def test_inexact_symmetry_rejected(i, j, value):
+    m = np.diag([2.0, 2.0, 2.0]) - np.eye(3, k=1) - np.eye(3, k=-1)
+    m[i, j] = value
+    with pytest.raises(AssemblyError):
+        SymmetricOperator(sp.csr_matrix(m))
 
 
 def test_laplacian_positive_definite_small():

@@ -367,11 +367,13 @@ class TestDomainFiles:
 
     def test_pgm_mask(self, tmp_path):
         f = tmp_path / "mask.pgm"
-        f.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 0, 255, 255, 255, 255]))
-        mask = load_mask(f, 1.0)
-        assert mask.dims == (3, 2)
-        assert mask.n_nodes == 4
-        assert not bool(mask.interior[0, 1]) and bool(mask.interior[0, 0])
+        # '#' comments may sit between any two header tokens
+        for header in (b"P5\n3 2\n255\n", b"P5# a\n3#b\n\t# c\n2 #\n255 "):
+            f.write_bytes(header + bytes([0, 0, 255, 255, 255, 255]))
+            mask = load_mask(f, 1.0)
+            assert mask.dims == (3, 2)
+            assert mask.n_nodes == 4
+            assert not bool(mask.interior[0, 1]) and bool(mask.interior[0, 0])
 
     def test_raster_domain_file(self, tmp_path):
         (tmp_path / "mask.txt").write_text("###\n###\n")

@@ -78,6 +78,16 @@ class TestHeatTrace:
         samples = heat_trace(s, np.logspace(-2, 0, 10), 2, 1.0)
         assert np.all(np.diff(samples.values) < 0)
 
+    def test_bitwise_equal_to_outer_product(self):
+        # one time at a time sums the same terms in the same order as the
+        # rows of the t x lambda matrix
+        for lam_max in (1e4, 1e5, 1e6):
+            s = rectangle_spectrum(1, 1, lam_max)
+            for times in (np.logspace(-3, -2, 12), np.logspace(-2, 0, 7)):
+                outer = np.exp(-np.outer(times, s.values)).sum(axis=1)
+                assert np.array_equal(heat_trace(s, times, 2, 1.0).values,
+                                      outer)
+
     def test_untrusted_flag(self):
         s = rectangle_spectrum(1, 1, 100.0)
         samples = heat_trace(s, [1e-4], 2, 1.0)
