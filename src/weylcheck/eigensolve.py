@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 from .discretization import OperatorPencil, SymmetricOperator
 
 DENSE_LIMIT = 8192
+SOLVE_TOL = 1e-8  # default residual tolerance of the sparse solves
 
 PROBLEMS = ("dirichlet", "buckling", "bilaplacian_root")
 
@@ -461,7 +462,7 @@ def _block_lowest(m: sp.csr_matrix, k: int, tol: float, scale: float) -> np.ndar
     return w
 
 
-def lowest_k(op: SymmetricOperator, k: int, tol: float = 1e-8) -> Spectrum:
+def lowest_k(op: SymmetricOperator, k: int, tol: float = SOLVE_TOL) -> Spectrum:
     """Lowest k eigenvalues by ARPACK's implicitly restarted Lanczos in
     shift-invert mode at zero (``scipy.sparse.linalg.eigsh``) on each
     diagonal block Q^T A Q of _parity_bases, merged with each value repeated

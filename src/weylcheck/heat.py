@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import Spectrum
-from .spectral import counting
 
 TRUST_TAIL_RATIO = 0.01
 HEAT_BOUND_TOL = 1e-9  # relative slack of the free-kernel bound

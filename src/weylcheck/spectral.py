@@ -16,6 +16,7 @@ from .discretization import (
     assemble_dirichlet_laplacian,
 )
 from .eigensolve import (
+    SOLVE_TOL,
     OperatorPencil,
     ShiftOnEigenvalueError,
     Spectrum,
@@ -122,7 +123,7 @@ class MaskForms:
         return robust_count(form(self), lam)
 
     def spectrum(self, problem: str, k: int | None = None,
-                 tol: float = 1e-8) -> Spectrum:
+                 tol: float = SOLVE_TOL) -> Spectrum:
         """All values of the problem (dense), or its lowest k: ``lowest_k``
         for A and B, ``generalized_spectrum`` for the pencil."""
         form, squared = FORMS[problem]
@@ -154,37 +155,19 @@ def eigenvalue_avoiding_grid(values: np.ndarray, count: int) -> np.ndarray:
     return mids[np.unique(pick)]
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """Per-lambda triples (N_b, N_bl, N_D); all rows must be ordered."""
-
-    lams: np.ndarray
-    n_b: np.ndarray
-    n_bl: np.ndarray
-    n_d: np.ndarray
-
-    @property
-    def ok(self) -> bool:
-        return bool(np.all(self.n_b <= self.n_bl) and np.all(self.n_bl <= self.n_d))
-
-    def rows(self):
-        return list(zip(self.lams, self.n_b, self.n_bl, self.n_d))
-
-
-def verify_chain(source, lam_grid) -> ChainReport:
-    """Check N_b <= N_bl <= N_D at every lambda, with the exact integer
-    counts of one source (``MaskSpectra`` or ``MaskForms``). A violation
-    raises: the chain is a theorem of the discretization.
+def verify_chain(source, lam_grid) -> list[tuple[float, int, int, int]]:
+    """Rows (lambda, N_b, N_bl, N_D) with the exact integer counts of one
+    source (``MaskSpectra`` or ``MaskForms``), each problem counted at every
+    lambda in turn. The chain N_b <= N_bl <= N_D is a theorem of the
+    discretization: one InvariantViolation names every row that breaks it.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
-    n_d, n_bl, n_b = (np.array([source.count(p, l) for l in lam_grid])
-                      for p in ("dirichlet", "bilaplacian_root", "buckling"))
-    report = ChainReport(lam_grid, n_b, n_bl, n_d)
-    if not report.ok:
-        bad = [(l, int(b_), int(bl), int(d))
-               for l, b_, bl, d in report.rows() if not b_ <= bl <= d]
+    n_d, n_bl, n_b = ([source.count(p, l) for l in lam_grid] for p in FORMS)
+    rows = list(zip(map(float, lam_grid), n_b, n_bl, n_d))
+    bad = [row for row in rows if not row[1] <= row[2] <= row[3]]
+    if bad:
         raise InvariantViolation(f"counting chain violated at {bad}")
-    return report
+    return rows
 
 
 # -- superadditivity -------------------------------------------------------
@@ -210,40 +193,26 @@ def check_separated(parts: list[GridMask]) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class SuperadditivityReport:
-    lam: float
-    whole: dict[str, int]
-    parts: list[dict[str, int]]
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            self.whole[p] >= sum(part[p] for part in self.parts)
-            for p in self.whole
-        )
-
-
-def superadditivity_check(whole, parts: list, lam: float) -> SuperadditivityReport:
-    """Assert N(lam, whole) >= sum of N(lam, part) for all three problems;
-    ``whole`` and each part are counting sources (``MaskSpectra`` or
-    ``MaskForms``) of their masks. Empty parts count nothing."""
+def superadditivity_check(whole, parts: list,
+                          lam: float) -> dict[str, tuple[int, int]]:
+    """{problem: (N(lam, whole), sum of N(lam, part))} for all three
+    problems; ``whole`` and each part are counting sources (``MaskSpectra``
+    or ``MaskForms``) of their masks. Empty parts count nothing. A whole
+    count below its parts' sum raises."""
     masks = [part.mask for part in parts]
     for k, part in enumerate(masks):
         if not part.is_submask_of(whole.mask):
             raise GeometryError(f"part {k} is not a submask of the whole")
     check_separated(masks)  # overlapping parts fail it too
-    report = SuperadditivityReport(
-        lam,
-        {p: whole.count(p, lam) for p in FORMS},
-        [{p: part.count(p, lam) for p in FORMS}
-         for part in parts if part.mask.n_nodes],
-    )
-    if not report.ok:
+    whole_counts = {p: whole.count(p, lam) for p in FORMS}
+    part_counts = [{p: part.count(p, lam) for p in FORMS}
+                   for part in parts if part.mask.n_nodes]
+    counts = {p: (n, sum(q[p] for q in part_counts))
+              for p, n in whole_counts.items()}
+    if any(n < parts_sum for n, parts_sum in counts.values()):
         raise InvariantViolation(
-            f"superadditivity violated at lambda={lam}: {report}"
-        )
-    return report
+            f"superadditivity violated at lambda={lam}: {counts}")
+    return counts
 
 
 def split_separated(mask: GridMask, seed: int = 0) -> list[GridMask]:

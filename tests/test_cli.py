@@ -9,6 +9,8 @@ import pytest
 from weylcheck import eigensolve, spectral
 from weylcheck.cli import main
 
+from conftest import one_buckling_value_too_many
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -138,6 +140,22 @@ def test_super_pass(square_json, tmp_path):
     assert main(["super", "--domain", square_json, "--h", "0.1",
                  "--seed", "3", "-o", str(out)]) == 0
     assert read_summary(out)["results"]["ok"] is True
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["chain", "--method", "inertia", "--lambdas", "50,1,100"], "chain.csv"),
+    (["super", "--lam", "1"], "superadditivity.csv"),
+], ids=["chain", "super"])
+def test_violated_check_exits_4_and_writes_nothing(square_json, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   argv, table):
+    one_buckling_value_too_many(monkeypatch, spectral.MaskForms)
+    out = tmp_path / "out"
+    assert main([argv[0], "--domain", square_json, "--h", "0.1", *argv[1:],
+                 "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ") and "1.0" in err
+    assert not (out / table).exists() and not (out / "summary.json").exists()
 
 
 def test_cover(square_json, tmp_path):

@@ -764,10 +764,9 @@ class TestInertiaCount:
         exact = grid_rectangle_spectrum(2.0, 1.0, h)
         for theta in (300.0, 3000.0, 30000.0):
             assert inertia_count(a, theta) == int((exact < theta).sum())
-        report = verify_chain(MaskForms(mask), [100.0, 1000.0, 3000.0])
-        assert report.ok
-        assert list(report.n_d) == [int((exact < l).sum())
-                                    for l in (100.0, 1000.0, 3000.0)]
+        rows = verify_chain(MaskForms(mask), [100.0, 1000.0, 3000.0])
+        assert [n_d for *_, n_d in rows] == [int((exact < l).sum())
+                                             for l in (100.0, 1000.0, 3000.0)]
 
 
 class TestParitySplit:

@@ -17,8 +17,10 @@ from weylcheck.geometry import (
 )
 from weylcheck.oracles import rectangle_spectrum
 from weylcheck.spectral import (
+    FORMS,
     InvariantViolation,
     MaskForms,
+    MaskSpectra,
     counting,
     cube_lower_bound,
     eigenvalue_avoiding_grid,
@@ -31,7 +33,7 @@ from weylcheck.spectral import (
     weyl_ratio_curve,
 )
 
-from conftest import random_mask
+from conftest import one_buckling_value_too_many, random_mask
 
 PI2 = math.pi**2
 SINGLE = GridMask(1.0, (0, 0), (1, 1), np.array([[True]]))
@@ -113,12 +115,10 @@ class TestLambdaGrid:
 class TestChain:
     def test_single_node_explicit(self):
         # lambda_D = 4, omega = sqrt(20), mu = 5
-        report = verify_chain(solve_all_problems(SINGLE), [4.6])
-        assert report.rows() == [(4.6, 0, 1, 1)]
+        assert verify_chain(solve_all_problems(SINGLE), [4.6]) == [(4.6, 0, 1, 1)]
 
     def test_below_all_spectra(self):
-        report = verify_chain(solve_all_problems(SINGLE), [1.0])
-        assert report.rows() == [(1.0, 0, 0, 0)]
+        assert verify_chain(solve_all_problems(SINGLE), [1.0]) == [(1.0, 0, 0, 0)]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -126,18 +126,19 @@ class TestChain:
         mask = random_mask(seed, dims=(8, 8))
         spectra = solve_all_problems(mask)
         grid = eigenvalue_avoiding_grid(spectra.merged_values(), 12)
-        dense = verify_chain(spectra, grid)
-        fact = verify_chain(MaskForms(mask), grid)
-        assert dense.rows() == fact.rows()
+        assert verify_chain(spectra, grid) == verify_chain(MaskForms(mask), grid)
         # superadditivity on a separated split, by both sources; the dense
         # side solves only the non-empty parts, the inertia side takes all
         parts = split_separated(mask, 1)
         lam = float(grid[len(grid) // 2])
-        by_dense = superadditivity_check(
-            spectra, [solve_all_problems(p) for p in parts if p.n_nodes], lam)
+        dense_parts = [solve_all_problems(p) for p in parts if p.n_nodes]
+        by_dense = superadditivity_check(spectra, dense_parts, lam)
         by_inertia = superadditivity_check(
             MaskForms(mask), [MaskForms(p) for p in parts], lam)
         assert by_dense == by_inertia
+        for part in dense_parts:  # each part's counts, not only their sum
+            assert (verify_chain(part, [lam])
+                    == verify_chain(MaskForms(part.mask), [lam]))
 
     def test_inertia_matches_dense_at_nonpositive_thresholds(self):
         # every value of the three problems is positive: nothing lies below
@@ -155,18 +156,38 @@ class TestChain:
         mask = random_mask(seed, dims=(10, 10))
         spectra = solve_all_problems(mask)
         grid = eigenvalue_avoiding_grid(spectra.merged_values(), 25)
-        report = verify_chain(spectra, grid)
-        assert report.ok
+        rows = verify_chain(spectra, grid)  # raises on a violated row
+        assert len(rows) == len(grid)
+
+
+class TestViolationRaises:
+    SQUARE = rasterize(DomainSpec.rectangle(1, 1), 0.1)
+
+    @pytest.mark.parametrize("source, build", [(MaskForms, MaskForms),
+                                               (MaskSpectra, solve_all_problems)])
+    def test_chain_names_the_violated_lambda(self, source, build, monkeypatch):
+        one_buckling_value_too_many(monkeypatch, source)
+        with pytest.raises(InvariantViolation) as err:
+            verify_chain(build(self.SQUARE), [50.0, 1.0, 100.0])
+        assert str(err.value) == "counting chain violated at [(1.0, 1, 0, 0)]"
+
+    def test_superadditivity_names_its_lambda(self, monkeypatch):
+        parts = split_separated(self.SQUARE, 0)
+        assert all(p.n_nodes for p in parts)
+        one_buckling_value_too_many(monkeypatch, MaskForms)
+        with pytest.raises(InvariantViolation,
+                           match=r"lambda=1\.0: .*'buckling': \(1, 2\)"):
+            superadditivity_check(MaskForms(self.SQUARE),
+                                  [MaskForms(p) for p in parts], 1.0)
 
 
 class TestSuperadditivity:
     def test_parts_equal_whole(self):
         mask = random_mask(3, dims=(8, 8))
-        report = superadditivity_check(
+        counts = superadditivity_check(
             solve_all_problems(mask),
             [solve_all_problems(mask.restrict(mask.interior))], 50.0)
-        assert report.ok
-        assert report.whole == report.parts[0]
+        assert all(n == parts_sum for n, parts_sum in counts.values())
 
     def test_decoupled_strips_equality(self):
         interior = np.zeros((7, 1), dtype=bool)
@@ -177,20 +198,20 @@ class TestSuperadditivity:
         whole = GridMask(1.0, (0, 0), (8, 1), interior)
         left = whole.restrict(np.arange(8)[:, None] < 3)
         right = whole.restrict(np.arange(8)[:, None] >= 5)
-        report = superadditivity_check(
+        counts = superadditivity_check(
             solve_all_problems(whole),
             [solve_all_problems(left), solve_all_problems(right)], 6.5)
-        for p in report.whole:
-            assert report.whole[p] == sum(q[p] for q in report.parts)
+        assert list(counts) == list(FORMS)
+        assert all(n == parts_sum for n, parts_sum in counts.values())
 
     def test_split_generator_valid(self):
         for seed in range(10):
             mask = random_mask(seed, dims=(14, 14))
             parts = split_separated(mask, seed)
-            report = superadditivity_check(
+            counts = superadditivity_check(  # raises on a violation
                 solve_all_problems(mask),
                 [solve_all_problems(p) for p in parts if p.n_nodes], 40.0)
-            assert report.ok
+            assert all(n >= parts_sum for n, parts_sum in counts.values())
 
     def test_nonsubmask_rejected(self):
         mask = random_mask(1, dims=(6, 6), fill=0.5)
