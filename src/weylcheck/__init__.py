@@ -42,7 +42,7 @@ from .spectral import (
     superadditivity_check,
     verify_chain,
     weyl_constant,
-    weyl_ratio_curve,
+    weyl_ratios,
 )
 from .heat import (
     HeatTraceSamples,

@@ -128,16 +128,21 @@ def cmd_chain(args, out: Path) -> dict:
     mask = geometry.rasterize(geometry.load_domain(args.domain), args.h)
     mode, payload = _parse_lambdas(args.lambdas)
     if args.method == "inertia":
-        # K equal steps up to the grid trust limit: Weyl spacing in 2-D
+        # K equal steps up to the grid trust limit, none rounded past it:
+        # Weyl spacing in 2-D
         source = spectral.MaskForms(mask)
-        auto = lambda k: np.arange(1, k + 1) * spectral.GRID_TRUST / (k * args.h**2)
+        limit = spectral.GRID_TRUST / args.h**2
+        auto = lambda k: np.minimum(
+            np.arange(1, k + 1) * spectral.GRID_TRUST / (k * args.h**2), limit)
     else:
         source = spectral.solve_all_problems(mask)
         auto = lambda k: spectral.eigenvalue_avoiding_grid(source.merged_values(), k)
     lam_grid = auto(payload) if mode == "auto" else np.array(payload)
     rows = spectral.verify_chain(source, lam_grid)
-    _write_csv(out / "chain.csv", "lambda,n_buckling,n_bilaplacian,n_dirichlet,status",
-               [(*row, "PASS") for row in rows])
+    _write_csv(out / "chain.csv", "lambda,n_buckling,n_bilaplacian,n_dirichlet,"
+               "weyl_buckling,weyl_bilaplacian,weyl_dirichlet,trusted,status",
+               [(*row, *ratios, "PASS")
+                for row, ratios in zip(rows, spectral.weyl_ratios(rows, mask))])
     return {"nodes": mask.n_nodes, "points": len(rows), "ok": True}
 
 

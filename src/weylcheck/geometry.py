@@ -55,13 +55,6 @@ class GridMask:
         idx[self.interior] = np.arange(self.n_nodes)
         return idx
 
-    def node_coords(self) -> np.ndarray:
-        """(N, 2) physical coordinates of the interior nodes, index order."""
-        ii, jj = np.nonzero(self.interior)
-        return np.stack(
-            [self.origin[0] + self.h * ii, self.origin[1] + self.h * jj], axis=1
-        )
-
     def volume(self) -> float:
         return self.n_nodes * self.h**2
 

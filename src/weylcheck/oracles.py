@@ -109,7 +109,7 @@ def disk_spectrum(r: float, lam_max: float) -> Spectrum:
 
     if r <= 0:
         raise ValueError("disk radius must be positive")
-    x_max = math.sqrt(lam_max) * r
+    x_max = math.sqrt(max(lam_max, 0.0)) * r  # no value below lam_max <= 0
     if x_max > BESSEL_ARG_LIMIT:
         raise ValueError(
             f"lam_max={lam_max} needs Bessel arguments up to {x_max:.6g} > "

@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretization import (
+    SymmetricOperator,
     assemble_clamped_bilaplacian,
     assemble_dirichlet_laplacian,
 )
@@ -110,17 +111,24 @@ class MaskForms:
         return assemble_clamped_bilaplacian(self.mask)
 
     def count(self, problem: str, lam: float) -> int:
+        # every value of the three problems is positive (lam^2 would also
+        # lose the sign of lam)
+        if lam <= 0:
+            return 0
         form, squared = FORMS[problem]
+        target = form(self)
         if squared:
-            # the roots are positive: lam^2 would lose the sign of lam. Each
-            # root^2 <= |B| < inf, so all lie below a lam whose square
+            # each root^2 <= |B| < inf, so all lie below a lam whose square
             # overflows (to inf, and without a warning in Python floats)
-            if lam <= 0:
-                return 0
             lam = float(lam) * float(lam)
             if math.isinf(lam):
                 return self.mask.n_nodes
-        return robust_count(form(self), lam)
+        elif isinstance(target, OperatorPencil) and lam > 1:
+            # B - lam A = lam (B/lam - A): the same inertia, from a form
+            # whose shift and scale cannot overflow
+            b = SymmetricOperator(target.b.matrix / lam, target.b.grid)
+            target, lam = OperatorPencil(b, target.a), 1.0
+        return robust_count(target, lam)
 
     def spectrum(self, problem: str, k: int | None = None,
                  tol: float = SOLVE_TOL) -> Spectrum:
@@ -242,31 +250,17 @@ def cube_lower_bound(cover: CubeCover, lam: float) -> int:
 
 # -- Weyl ratio ------------------------------------------------------------
 
-GRID_TRUST = 0.25  # lambda * h^2 at most this for trusted grid eigenvalues
+GRID_TRUST = 0.25  # trusted grid eigenvalues: lambda <= GRID_TRUST / h^2
 
 
-@dataclass(frozen=True)
-class WeylRatioRow:
-    lam: float
-    count: int
-    ratio: float
-    trusted: bool
-
-
-def weyl_ratio_curve(spectrum: Spectrum, n: int, volume: float, lam_grid,
-                     h: float | None = None) -> list[WeylRatioRow]:
-    """Rows (lambda, N(lambda), N / (C_W lambda^{n/2})); grid rows outside
-    the dispersion trust region are flagged, not dropped."""
-    c_w = weyl_constant(n, volume)
-    rows = []
-    for lam in np.asarray(lam_grid, dtype=float):
-        cnt = counting(spectrum, lam)
-        trusted = True
-        if spectrum.source == "grid":
-            if h is None:
-                raise ValueError("grid spectra need h for the trust region")
-            trusted = lam * h * h <= GRID_TRUST
-        rows.append(
-            WeylRatioRow(float(lam), cnt, cnt / (c_w * lam ** (n / 2.0)), trusted)
-        )
-    return rows
+def weyl_ratios(rows, mask: GridMask) -> list[tuple[float, float, float, bool]]:
+    """For each row (lambda, N_b, N_bl, N_D) of ``verify_chain`` on the
+    mask: each count over its 2-D Weyl term C_W |Omega_h| lambda, with
+    |Omega_h| = n h^2 the mask's volume (NaN at lambda <= 0, where every
+    count is 0), and whether lambda lies in the grid trust region
+    lambda <= GRID_TRUST / h^2."""
+    c_w = weyl_constant(2, mask.volume())
+    limit = GRID_TRUST / mask.h**2
+    return [(*(n / (c_w * lam) if lam > 0 else math.nan for n in counts),
+             lam <= limit)
+            for lam, *counts in rows]

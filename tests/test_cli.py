@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shlex
@@ -5,9 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from weylcheck import eigensolve, spectral
 from weylcheck.cli import main
+from weylcheck.discretization import (
+    assemble_clamped_bilaplacian,
+    assemble_dirichlet_laplacian,
+)
+from weylcheck.geometry import load_domain, rasterize
 
 from conftest import one_buckling_value_too_many
 
@@ -23,6 +30,11 @@ def square_json(tmp_path):
 
 def read_summary(out):
     return json.loads((Path(out) / "summary.json").read_text())
+
+
+def read_chain(out):
+    with open(Path(out) / "chain.csv") as fh:
+        return list(csv.DictReader(fh))
 
 
 def exit_code(argv):
@@ -96,14 +108,24 @@ def test_count_matches_solve(square_json, tmp_path):
 
 def test_bilaplacian_count_where_lambda_squared_overflows(square_json, tmp_path):
     # every root^2 is at most |B| < inf, so all 81 roots lie below a
-    # threshold whose square overflows, as in the dense spectrum
+    # threshold whose square overflows, as in the dense spectrum; buckling
+    # counts B/lam - A where lam |A| would overflow, and every count below
+    # zero is 0
     base = ["--domain", square_json, "--h", "0.1"]
-    assert main(["count", *base, "--lam", "1e200", "--problem", "bilaplacian",
-                 "-o", str(tmp_path / "count")]) == 0
-    assert read_summary(tmp_path / "count")["results"]["count"] == 81
+    lams = {"1e200": 81, "3e305": 81, "1.7e308": 81, "-3e305": 0,
+            "-1.7e308": 0}
+    for problem in ("bilaplacian", "buckling"):
+        for lam, want in lams.items():
+            out = tmp_path / f"count_{problem}{lam}"
+            assert main(["count", *base, f"--lam={lam}", "--problem", problem,
+                         "-o", str(out)]) == 0, (problem, lam)
+            assert read_summary(out)["results"]["count"] == want, (problem, lam)
     for method in ("dense", "inertia"):
-        assert main(["chain", *base, "--lambdas", "1e200", "--method", method,
-                     "-o", str(tmp_path / method)]) == 0
+        assert main(["chain", *base, f"--lambdas={','.join(lams)}",
+                     "--method", method, "-o", str(tmp_path / method)]) == 0
+    rows = (tmp_path / "dense" / "chain.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:4] for row in rows] == [[str(n)] * 3
+                                                      for n in lams.values()]
     assert ((tmp_path / "inertia" / "chain.csv").read_bytes()
             == (tmp_path / "dense" / "chain.csv").read_bytes())
 
@@ -122,7 +144,71 @@ def test_inertia_chain_below_zero(square_json, tmp_path):
     assert main(["chain", "--domain", square_json, "--h", "0.1",
                  "--lambdas=-40,-50", "--method", "inertia", "-o", str(out)]) == 0
     assert (out / "chain.csv").read_text().splitlines()[1:] == [
-        "-40.0,0,0,0,PASS", "-50.0,0,0,0,PASS"]
+        "-40.0,0,0,0,nan,nan,nan,True,PASS", "-50.0,0,0,0,nan,nan,nan,True,PASS"]
+
+
+@pytest.mark.parametrize("domain, h", [
+    ({"kind": "rectangle", "a": 1.0, "b": 1.0}, 0.025),
+    ({"kind": "disk", "r": 1.0}, 0.1),
+], ids=["square", "disk"])
+def test_chain_weyl_ratios_from_dense_counts(domain, h, tmp_path):
+    # each ratio column is 4 pi N / (n h^2 lambda), with N counted in the
+    # dense eigh spectra of the same mask, by both methods: at the dense
+    # auto:20 thresholds (the inertia table at them is byte-identical) and
+    # at the inertia auto:10 ones, which step up to the trust limit
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain))
+    mask = rasterize(load_domain(path), h)
+    a = assemble_dirichlet_laplacian(mask).dense()
+    b = assemble_clamped_bilaplacian(mask).dense()
+    values = {"buckling": eigh(b, a, eigvals_only=True),
+              "bilaplacian": np.sqrt(eigh(b, eigvals_only=True)),
+              "dirichlet": eigh(a, eigvals_only=True)}
+    base = ["chain", "--domain", str(path), "--h", repr(h)]
+    assert main([*base, "--lambdas", "auto:20", "-o", str(tmp_path / "dense")]) == 0
+    dense = read_chain(tmp_path / "dense")
+    assert main([*base, "--method", "inertia", "--lambdas",
+                 ",".join(row["lambda"] for row in dense),
+                 "-o", str(tmp_path / "listed")]) == 0
+    assert ((tmp_path / "listed" / "chain.csv").read_bytes()
+            == (tmp_path / "dense" / "chain.csv").read_bytes())
+    assert main([*base, "--method", "inertia", "--lambdas", "auto:10",
+                 "-o", str(tmp_path / "inertia")]) == 0
+    auto = read_chain(tmp_path / "inertia")
+    assert all(row["trusted"] == "True" for row in auto)
+    for row in dense + auto:
+        lam = float(row["lambda"])
+        ratios = []
+        for problem, w in values.items():
+            n = int(np.sum(w < lam))
+            assert int(row[f"n_{problem}"]) == n
+            ratios.append(float(row[f"weyl_{problem}"]))
+            assert ratios[-1] == pytest.approx(
+                4 * math.pi * n / (mask.n_nodes * h**2 * lam), rel=1e-14)
+        assert ratios == sorted(ratios)  # weyl_buckling <= ... <= weyl_dirichlet
+        assert row["trusted"] == str(lam <= 0.25 / h**2)
+
+
+@pytest.mark.parametrize("h", [0.07, 0.03, 0.15])
+def test_inertia_auto_rows_and_super_default_are_trusted(square_json, tmp_path,
+                                                        h):
+    # at h = 0.07 lambda h^2 of the K-th step rounds above 0.25 for K = 1
+    # and 50; at h = 0.03 (K = 11) and h = 0.15 (K = 5) the K-th step
+    # j GRID_TRUST / (K h^2) itself rounds one ulp past GRID_TRUST / h^2
+    base = ["--domain", square_json, "--h", repr(h)]
+    for k in (1, 5, 11, 50):
+        out = tmp_path / f"auto{k}"
+        assert main(["chain", *base, "--method", "inertia",
+                     "--lambdas", f"auto:{k}", "-o", str(out)]) == 0
+        rows = read_chain(out)
+        assert len(rows) == k and all(r["trusted"] == "True" for r in rows), k
+        assert float(rows[-1]["lambda"]) == pytest.approx(
+            spectral.GRID_TRUST / h**2, rel=1e-15), k
+    assert main(["super", *base, "-o", str(tmp_path / "super")]) == 0
+    lam = read_summary(tmp_path / "super")["config"]["lam"]
+    assert main(["chain", *base, "--method", "inertia", f"--lambdas={lam!r}",
+                 "-o", str(tmp_path / "chain")]) == 0
+    assert read_chain(tmp_path / "chain")[0]["trusted"] == "True"
 
 
 def test_chain_pass(square_json, tmp_path):

@@ -71,7 +71,8 @@ class TestIntervalSpectrum:
 @pytest.mark.parametrize("spectrum", [
     lambda lam: rectangle_spectrum(1, 1, lam),
     lambda lam: interval_spectrum(1, lam),
-], ids=["rectangle", "interval"])
+    lambda lam: disk_spectrum(1, lam),
+], ids=["rectangle", "interval", "disk"])
 @pytest.mark.parametrize("lam", [-5.0, -1e-300, 0.0])
 def test_empty_below_nonpositive_cutoff(spectrum, lam):
     # no Dirichlet value lies below lam_max <= 0

@@ -30,7 +30,7 @@ from weylcheck.spectral import (
     superadditivity_check,
     verify_chain,
     weyl_constant,
-    weyl_ratio_curve,
+    weyl_ratios,
 )
 
 from conftest import one_buckling_value_too_many, random_mask
@@ -258,29 +258,41 @@ class TestCubeLowerBound:
 
 
 class TestWeylRatio:
+    # SINGLE has volume 1 * 1^2 = 1, so each ratio is N / (C_W lambda)
     def test_square_at_1e5(self):
-        s = rectangle_spectrum(1, 1, 1.1e5)
-        rows = weyl_ratio_curve(s, 2, 1.0, [1e5])
-        assert rows[0].ratio == pytest.approx(1 - 4 / math.sqrt(1e5), abs=0.01)
+        n = counting(rectangle_spectrum(1, 1, 1.1e5), 1e5)
+        (row,) = weyl_ratios([(1e5, n, n, n)], SINGLE)
+        assert row[:3] == (pytest.approx(1 - 4 / math.sqrt(1e5), abs=0.01),) * 3
 
     def test_below_ground_state(self):
-        s = rectangle_spectrum(1, 1, 100)
-        rows = weyl_ratio_curve(s, 2, 1.0, [PI2])
-        assert rows[0].count == 0 and rows[0].ratio == 0.0
+        n = counting(rectangle_spectrum(1, 1, 100), PI2)
+        assert n == 0 and weyl_ratios([(PI2, n, n, n)], SINGLE)[0][:3] == (0.0,) * 3
 
     def test_synthetic_exact_weyl(self):
         c_w = weyl_constant(2, 1.0)
         vals = np.arange(1, 2001) / c_w
-        s = Spectrum("synthetic", vals, cutoff=vals[-1] + 1, source="analytic")
-        lam = vals[-1]
-        rows = weyl_ratio_curve(s, 2, 1.0, [lam * 0.999])
-        assert rows[0].ratio == pytest.approx(1.0, abs=1.5 / rows[0].count)
+        lam = float(vals[-1]) * 0.999
+        n = int(np.searchsorted(vals, lam))
+        (row,) = weyl_ratios([(lam, 0, n // 2, n)], SINGLE)
+        assert row[:3] == (0.0, pytest.approx(0.5, abs=1.5 / n),
+                           pytest.approx(1.0, abs=1.5 / n))
 
     def test_grid_trust_flag(self):
+        # trusted up to GRID_TRUST / h^2 itself; NaN ratios at lambda <= 0,
+        # where every count is 0; Python floats and bools, which the CSV
+        # writes by repr
         mask = random_mask(2, dims=(6, 6), h=0.1)
-        w = dense_spectrum(assemble_dirichlet_laplacian(mask))
-        rows = weyl_ratio_curve(w, 2, mask.volume(), [10.0, 1e4], h=0.1)
-        assert rows[0].trusted and not rows[1].trusted
+        limit = 0.25 / 0.1**2
+        rows = weyl_ratios([(10.0, 1, 2, 3), (limit, 1, 1, 1),
+                            (math.nextafter(limit, math.inf), 1, 1, 1),
+                            (1e4, 4, 5, 6), (0.0, 0, 0, 0), (-5.0, 0, 0, 0)],
+                           mask)
+        assert [row[3] for row in rows] == [True, True, False, False, True, True]
+        assert all(math.isnan(r) for row in rows[4:] for r in row[:3])
+        c_w = weyl_constant(2, mask.n_nodes * 0.1**2)
+        assert rows[0][:3] == (1 / (c_w * 10), 2 / (c_w * 10), 3 / (c_w * 10))
+        assert all(type(x) is float for row in rows for x in row[:3])
+        assert all(type(row[3]) is bool for row in rows)
 
 
 class TestDomainMonotonicity:
